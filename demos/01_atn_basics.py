@@ -19,12 +19,11 @@ from alontarsi import (
     eulerian_census,
     expand_capped,
     full_expansion,
-    graph_polynomial_factors,
 )
 
 # ── the triangle, by hand ──────────────────────────────────────────────
 K3 = complete_graph(3)
-print("factors of the K3 polynomial:", graph_polynomial_factors(K3))
+print("factors of the K3 polynomial, one (x_u - x_v) per edge:", K3.edges)
 
 poly = full_expansion(K3)
 print("full expansion, one line per monomial (coeff e0 e1 e2):")
@@ -42,7 +41,7 @@ print(f"ATN(K3) = {value}, certificate monomial {cert.exponents} "
 # ── capping the expansion ──────────────────────────────────────────────
 # expanding with a per-variable exponent cap keeps only the monomials the
 # definition cares about; cap 1 kills everything for the triangle
-capped = expand_capped(graph_polynomial_factors(K3), 3, 1)
+capped = expand_capped(K3.edges, 3, 1)
 print("K3 capped at exponent 1 is the zero polynomial:", capped.is_zero())
 
 # ── the same numbers from orientations ─────────────────────────────────

@@ -69,9 +69,7 @@ from .orientations import (
     EulerianCensus,
     Orientation,
     atn_from_orientations,
-    duality_check,
     eulerian_census,
-    is_alon_tarsi,
     orientation_census_table,
 )
 from .polynomials import (
@@ -81,8 +79,7 @@ from .polynomials import (
     coefficient_of,
     expand_capped,
     full_expansion,
-    graph_polynomial_factors,
 )
-from .verify import CAMPAIGNS, campaign_passed, default_config, run_campaign
+from .verify import CAMPAIGNS, campaign_passed, default_config, duality_check, run_campaign
 
 __version__ = "0.1.0"

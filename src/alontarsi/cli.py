@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .coloring import is_k_choosable
+from .coloring import CHOOSABLE_K_GUARD, CHOOSABLE_N_GUARD, is_k_choosable
 from .efl import EflConfig, build_graph, generate_all, theorem4_certify
 from .errors import InvalidConfig, MemoryGuardExceeded, SizeGuardExceeded
 from .graphs import (
@@ -24,9 +25,9 @@ from .graphs import (
     to_edge_list_text,
     total_graph,
 )
-from .orientations import Orientation, atn_from_orientations, eulerian_census
-from .polynomials import atn_from_polynomial
-from .verify import CAMPAIGNS, campaign_passed, report_line, run_campaign
+from .orientations import CENSUS_GUARD, Orientation, atn_from_orientations, eulerian_census
+from .polynomials import DEFAULT_TERM_GUARD, atn_from_polynomial
+from .verify import CAMPAIGNS, campaign_passed, default_config, report_line, run_campaign
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
@@ -145,18 +146,19 @@ def _cmd_choosable(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise ValueError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     overrides = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             overrides.update(json.load(fh))
-    if args.max_edges is not None:
-        # each campaign reads the size knob it understands
-        overrides["max_edges"] = args.max_edges
-        overrides["max_base_edges"] = args.max_edges
-    if args.max_terms is not None:
-        overrides["max_terms"] = args.max_terms
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    # each flag sets its knob only on campaigns that have one
+    knobs = default_config(args.campaign)
+    for key in ("max_edges", "max_terms", "seed"):
+        value = getattr(args, key)
+        if value is not None and key in knobs:
+            overrides[key] = value
 
     def sink(report):
         if args.format == "json":
@@ -216,22 +218,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atn", help="compute the Alon-Tarsi number with a certificate")
     p.add_argument("input")
     p.add_argument("--method", choices=["poly", "orient", "both"], default="poly")
-    p.add_argument("--max-terms", type=int, default=10**7)
-    p.add_argument("--max-edges", type=int, default=22)
+    p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_GUARD)
+    p.add_argument("--max-edges", type=int, default=CENSUS_GUARD)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=_cmd_atn)
 
     p = sub.add_parser("census", help="Eulerian subdigraph census of one orientation")
     p.add_argument("input")
     p.add_argument("--bits", required=True, help="orientation bit vector as hex")
-    p.add_argument("--max-edges", type=int, default=22)
+    p.add_argument("--max-edges", type=int, default=CENSUS_GUARD)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("choosable", help="exhaustive k-choosability check")
     p.add_argument("input")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--max-k", type=int, default=3)
+    p.add_argument("--max-n", type=int, default=CHOOSABLE_N_GUARD)
+    p.add_argument("--max-k", type=int, default=CHOOSABLE_K_GUARD)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=_cmd_choosable)
 
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["generate", "certify"])
     p.add_argument("-k", type=int, default=3)
     p.add_argument("--config", default=None, help="certify one config from a JSON file")
-    p.add_argument("--max-terms", type=int, default=10**7)
+    p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_GUARD)
     p.set_defaults(func=_cmd_efl)
 
     return parser

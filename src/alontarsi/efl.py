@@ -16,6 +16,8 @@ from itertools import combinations, permutations, product
 
 from .errors import InvalidConfig, SizeGuardExceeded
 from .graphs import Graph
+from .orientations import CENSUS_GUARD, atn_from_orientations
+from .polynomials import DEFAULT_TERM_GUARD, atn_from_polynomial
 
 GENERATE_GUARD = 3
 
@@ -216,8 +218,8 @@ def generate_all(k: int, max_k: int = GENERATE_GUARD) -> list[EflConfig]:
 
 def theorem4_certify(
     cfg: EflConfig,
-    max_terms: int = 10**7,
-    orientation_max_edges: int = 22,
+    max_terms: int = DEFAULT_TERM_GUARD,
+    orientation_max_edges: int = CENSUS_GUARD,
 ) -> dict:
     """Certify one configuration: both Alon-Tarsi engines plus the case split.
 
@@ -225,9 +227,6 @@ def theorem4_certify(
     edges, the certificate simply exhibits the computed optimum, which is
     stronger at this scale.
     """
-    from .orientations import atn_from_orientations
-    from .polynomials import atn_from_polynomial
-
     g = build_graph(cfg)
     atn_p, cert_p = atn_from_polynomial(g, max_terms=max_terms)
     atn_o, _cert_o = atn_from_orientations(g, max_edges=orientation_max_edges)

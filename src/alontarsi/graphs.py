@@ -76,10 +76,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency()[u] if 0 <= u < self.n else False
 
-    def edge_index(self) -> dict[Edge, int]:
-        """Canonical edge -> position in the sorted edge list."""
-        return {e: i for i, e in enumerate(self.edges)}
-
     def is_regular(self) -> bool:
         degs = self.degrees()
         return len(set(degs)) <= 1

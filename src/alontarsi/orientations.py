@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import SizeGuardExceeded
 from .graphs import Graph
-from .polynomials import AtnCertificate, coefficient_of
+from .polynomials import AtnCertificate
 
 CENSUS_GUARD = 22
 
@@ -122,10 +122,6 @@ def eulerian_census(d: Orientation, max_edges: int = CENSUS_GUARD) -> EulerianCe
     return EulerianCensus(counts[0], counts[1])
 
 
-def is_alon_tarsi(d: Orientation, max_edges: int = CENSUS_GUARD) -> bool:
-    return eulerian_census(d, max_edges=max_edges).alon_tarsi
-
-
 def atn_from_orientations(
     g: Graph, max_edges: int = CENSUS_GUARD
 ) -> tuple[int, AtnCertificate]:
@@ -177,16 +173,6 @@ def atn_from_orientations(
         census=(best_census.even, best_census.odd),
     )
     return best_value + 1, cert
-
-
-def duality_check(g: Graph, d: Orientation, max_edges: int = CENSUS_GUARD) -> bool:
-    """Cross-validate the two Alon-Tarsi-number definitions on one orientation.
-
-    The graph polynomial coefficient at the orientation's outdegree vector
-    must match the census difference in absolute value.
-    """
-    census = eulerian_census(d, max_edges=max_edges)
-    return abs(coefficient_of(g, d.outdegrees())) == census.difference
 
 
 def orientation_census_table(

@@ -145,11 +145,6 @@ class AtnCertificate:
         }
 
 
-def graph_polynomial_factors(g: Graph) -> tuple[tuple[int, int], ...]:
-    """One (x_u - x_v) factor per edge, u < v, in canonical edge order."""
-    return g.edges
-
-
 def expand_capped(
     factors,
     nvars: int,
@@ -197,7 +192,7 @@ def expand_capped(
 
 def full_expansion(g: Graph, max_terms: int = DEFAULT_TERM_GUARD) -> SparsePolynomial:
     """The complete graph polynomial expansion (cap = m is no cap at all)."""
-    return expand_capped(graph_polynomial_factors(g), g.n, max(g.m, 0), max_terms)
+    return expand_capped(g.edges, g.n, max(g.m, 0), max_terms)
 
 
 def atn_from_polynomial(
@@ -211,9 +206,8 @@ def atn_from_polynomial(
     (anything smaller would have survived the previous cap), and the
     certificate is the lexicographically smallest surviving exponent vector.
     """
-    factors = graph_polynomial_factors(g)
     for b in range(1, g.m + 2):
-        poly = expand_capped(factors, g.n, b - 1, max_terms)
+        poly = expand_capped(g.edges, g.n, b - 1, max_terms)
         if not poly.is_zero():
             exps = min(poly.unpack(k) for k in poly.terms)
             cert = AtnCertificate(

@@ -9,7 +9,8 @@ reported, never silently dropped, and never counted as a pass of anything.
 Campaign instance families live in JSON config files under campaigns/, so
 acceptance runs are reproducible and extensible without code edits.  Reports
 are JSON-lines with sorted keys: byte-identical across runs except for the
-wall-time field.
+wall-time field.  Adding a campaign means one entry in _REGISTRY plus its
+JSON file.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import random
 import time
 from importlib import resources
 
-from .canon import connected_graphs, graphs_with_edge_budget
+from .canon import all_graphs, connected_graphs, graphs_with_edge_budget
 from .coloring import chromatic_number, choice_number
 from .efl import generate_all, theorem4_certify
-from .errors import SizeGuardExceeded
+from .errors import MemoryGuardExceeded, SizeGuardExceeded
 from .graphs import (
     Graph,
     chromatic_index_class,
@@ -35,25 +36,13 @@ from .graphs import (
     total_graph,
 )
 from .orientations import (
+    CENSUS_GUARD,
     Orientation,
     atn_from_orientations,
     eulerian_census,
     orientation_census_table,
 )
-from .polynomials import (
-    atn_from_polynomial,
-    coefficient_of,
-    full_expansion,
-)
-
-CAMPAIGNS = ("thm1", "thm2", "cor3", "thm4", "duality", "sandwich")
-
-
-def default_config(name: str) -> dict:
-    if name not in CAMPAIGNS:
-        raise ValueError(f"unknown campaign {name!r}; choose from {CAMPAIGNS}")
-    path = resources.files("alontarsi") / "campaigns" / f"{name}.json"
-    return json.loads(path.read_text())
+from .polynomials import atn_from_polynomial, coefficient_of, full_expansion
 
 
 def report_line(report: dict) -> str:
@@ -68,60 +57,28 @@ def campaign_passed(reports: list[dict]) -> bool:
     return all(report_passed(r) for r in reports)
 
 
+def duality_check(g: Graph, d: Orientation, max_edges: int = CENSUS_GUARD) -> bool:
+    """Cross-validate the two Alon-Tarsi-number definitions on one orientation.
+
+    The graph polynomial coefficient at the orientation's outdegree vector
+    must match the census difference in absolute value.
+    """
+    census = eulerian_census(d, max_edges=max_edges)
+    return abs(coefficient_of(g, d.outdegrees())) == census.difference
+
+
 def _graph_descriptor(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
 # ---------------------------------------------------------------------------
-# instance enumeration
+# per-instance workers: each takes its payload's arguments plus the config
+# and returns (claims, values)
 # ---------------------------------------------------------------------------
 
 
-def campaign_instances(name: str, cfg: dict) -> list[tuple[str, tuple]]:
-    out: list[tuple[str, tuple]] = []
-    if name == "thm1":
-        for i, gname in enumerate(cfg["graphs"]):
-            out.append((f"thm1/{i:03d}-{gname}", ("named", gname)))
-    elif name == "cor3":
-        for i, gname in enumerate(cfg["graphs"]):
-            out.append((f"cor3/{i:03d}-{gname}", ("named", gname)))
-    elif name == "thm2":
-        fam = [g for g in connected_graphs(cfg["max_base_edges"]) if g.m >= 1]
-        for i, g in enumerate(fam):
-            out.append((f"thm2/{i:03d}-{g.n}v{g.m}e", ("graph", g)))
-    elif name == "thm4":
-        for k in range(1, cfg["max_k"] + 1):
-            for j, c in enumerate(generate_all(k)):
-                out.append((f"thm4/k{k}-{j:03d}", ("config", c)))
-    elif name == "duality":
-        fam = graphs_with_edge_budget(cfg["max_edges"])
-        for i, g in enumerate(fam):
-            out.append((f"duality/census/{i:04d}-{g.n}v{g.m}e", ("census", g)))
-        conn = connected_graphs(
-            cfg["engine_max_n"] * (cfg["engine_max_n"] - 1) // 2,
-            max_vertices=cfg["engine_max_n"],
-        )
-        for i, g in enumerate(conn):
-            out.append((f"duality/engines/{i:03d}-{g.n}v{g.m}e", ("engines", g)))
-        for i, g in enumerate(conn):
-            if g.m <= cfg["eval_max_edges"]:
-                out.append((f"duality/eval/{i:03d}-{g.n}v{g.m}e", ("eval", g, i)))
-    elif name == "sandwich":
-        from .canon import all_graphs
-
-        for i, g in enumerate(all_graphs(cfg["max_n"])):
-            out.append((f"sandwich/{i:03d}-{g.n}v{g.m}e", ("graph", g)))
-    else:
-        raise ValueError(f"unknown campaign {name!r}")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# per-instance workers
-# ---------------------------------------------------------------------------
-
-
-def _run_thm1(g: Graph, cfg: dict) -> tuple[dict, dict]:
+def _run_thm1(gname: str, cfg: dict) -> tuple[dict, dict]:
+    g = named_graph(gname)
     claims: dict = {}
     values: dict = {"graph": _graph_descriptor(g), "delta": g.max_degree()}
     factorization = None
@@ -209,7 +166,8 @@ def _run_thm2(g: Graph, cfg: dict) -> tuple[dict, dict]:
     return claims, values
 
 
-def _run_cor3(g: Graph, cfg: dict) -> tuple[dict, dict]:
+def _run_cor3(gname: str, cfg: dict) -> tuple[dict, dict]:
+    g = named_graph(gname)
     claims: dict = {}
     values: dict = {"graph": _graph_descriptor(g), "delta": g.max_degree()}
     total, roles = total_graph(g)
@@ -226,7 +184,7 @@ def _run_cor3(g: Graph, cfg: dict) -> tuple[dict, dict]:
     claims["half_square_original_is_base"] = half_orig.edges == g.edges
     claims["half_square_edge_is_line"] = half_edge.edges == lg.edges
     claims["cross_edges_are_subdivision"] = cross == sub.edges
-    atn, cert = atn_from_polynomial(total, max_terms=cfg.get("max_terms", 10**7))
+    atn, cert = atn_from_polynomial(total, max_terms=cfg["max_terms"])
     values["atn_total"] = atn
     values["certificate"] = cert.to_json_obj()
     claims["atn_total_le_delta_plus_3"] = atn <= g.max_degree() + 3
@@ -357,40 +315,115 @@ def _run_sandwich(g: Graph, cfg: dict) -> tuple[dict, dict]:
     return claims, values
 
 
+# ---------------------------------------------------------------------------
+# the campaign registry
+# ---------------------------------------------------------------------------
+
+# The claims each worker reports.  A guard that trips inside a worker turns
+# every one of them into "SKIP".  thm2's other claims depend on the graph's
+# chromatic class, which a tripped guard leaves unknown, so only the claim
+# every thm2 instance carries is listed.
+_CLAIMS = {
+    _run_thm1: ("factor_structure", "pair_all_ones_monomial", "atn_line_equals_delta"),
+    _run_thm2: ("atn_line_le_delta_plus_1",),
+    _run_cor3: ("half_square_original_is_base", "half_square_edge_is_line",
+                "cross_edges_are_subdivision", "atn_total_le_delta_plus_3"),
+    _run_thm4: ("engines_agree", "conclusion_holds"),
+    _run_duality_census: ("census_matches_coefficients", "arc_reversal_symmetric"),
+    _run_duality_engines: ("engines_agree", "monomial_certificate_sound",
+                           "orientation_certificate_sound"),
+    _run_duality_eval: ("evaluation_matches_edge_product", "vanishes_at_equal_values"),
+    _run_sandwich: ("chi_le_ch", "ch_le_atn", "chi_le_atn"),
+}
+
+
+def _named_graphs(prefix: str, worker, cfg: dict) -> list[tuple[str, tuple]]:
+    return [
+        (f"{prefix}/{i:03d}-{gname}", (worker, gname))
+        for i, gname in enumerate(cfg["graphs"])
+    ]
+
+
+def _graph_family(prefix: str, worker, graphs, digits: int = 3) -> list[tuple[str, tuple]]:
+    return [
+        (f"{prefix}/{i:0{digits}d}-{g.n}v{g.m}e", (worker, g))
+        for i, g in enumerate(graphs)
+    ]
+
+
+def _duality_instances(cfg: dict) -> list[tuple[str, tuple]]:
+    census = graphs_with_edge_budget(cfg["max_edges"])
+    n = cfg["engine_max_n"]
+    conn = connected_graphs(n * (n - 1) // 2, max_vertices=n)
+    evals = [
+        (f"duality/eval/{i:03d}-{g.n}v{g.m}e", (_run_duality_eval, g, i))
+        for i, g in enumerate(conn)
+        if g.m <= cfg["eval_max_edges"]
+    ]
+    return (
+        _graph_family("duality/census", _run_duality_census, census, digits=4)
+        + _graph_family("duality/engines", _run_duality_engines, conn)
+        + evals
+    )
+
+
+# Campaign name -> config -> [(instance id, payload)].  A payload is a
+# module-level worker plus its arguments, so it pickles for --jobs.  Entries
+# call catalogs and engines by module global, which the bench tracer rebinds.
+_REGISTRY = {
+    "thm1": lambda cfg: _named_graphs("thm1", _run_thm1, cfg),
+    "thm2": lambda cfg: _graph_family(
+        "thm2", _run_thm2, [g for g in connected_graphs(cfg["max_edges"]) if g.m >= 1]
+    ),
+    "cor3": lambda cfg: _named_graphs("cor3", _run_cor3, cfg),
+    "thm4": lambda cfg: [
+        (f"thm4/k{k}-{j:03d}", (_run_thm4, c))
+        for k in range(1, cfg["max_k"] + 1)
+        for j, c in enumerate(generate_all(k))
+    ],
+    "duality": _duality_instances,
+    "sandwich": lambda cfg: _graph_family("sandwich", _run_sandwich, all_graphs(cfg["max_n"])),
+}
+
+CAMPAIGNS = tuple(_REGISTRY)
+
+
+def default_config(name: str) -> dict:
+    if name not in _REGISTRY:
+        raise ValueError(f"unknown campaign {name!r}; choose from {CAMPAIGNS}")
+    path = resources.files("alontarsi") / "campaigns" / f"{name}.json"
+    return json.loads(path.read_text())
+
+
+def campaign_instances(name: str, cfg: dict) -> list[tuple[str, tuple]]:
+    return _REGISTRY[name](cfg)
+
+
 def run_instance(name: str, iid: str, payload: tuple, cfg: dict) -> dict:
     started = time.perf_counter()
-    kind = payload[0]
-    if name == "thm1":
-        claims, values = _run_thm1(named_graph(payload[1]), cfg)
-    elif name == "cor3":
-        claims, values = _run_cor3(named_graph(payload[1]), cfg)
-    elif name == "thm2":
-        claims, values = _run_thm2(payload[1], cfg)
-    elif name == "thm4":
-        claims, values = _run_thm4(payload[1], cfg)
-    elif name == "duality":
-        if kind == "census":
-            claims, values = _run_duality_census(payload[1], cfg)
-        elif kind == "engines":
-            claims, values = _run_duality_engines(payload[1], cfg)
-        else:
-            claims, values = _run_duality_eval(payload[1], payload[2], cfg)
-    elif name == "sandwich":
-        claims, values = _run_sandwich(payload[1], cfg)
-    else:
-        raise ValueError(f"unknown campaign {name!r}")
-    return {
-        "campaign": name,
-        "instance": iid,
-        "claims": claims,
-        "values": values,
-        "pass": all(v is not False for v in claims.values()),
-        "wall_ms": round((time.perf_counter() - started) * 1000.0, 3),
-    }
+    worker, *args = payload
+    try:
+        claims, values = worker(*args, cfg)
+    except (SizeGuardExceeded, MemoryGuardExceeded) as exc:
+        claims = dict.fromkeys(_CLAIMS[worker], "SKIP")
+        values = {"guard": str(exc)}
+    report = {"campaign": name, "instance": iid, "claims": claims, "values": values}
+    report["pass"] = report_passed(report)
+    report["wall_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+    return report
 
 
-def _pool_worker(args):
+def _run_one(args):
     return run_instance(*args)
+
+
+def _stream(reports, sink) -> list[dict]:
+    out = []
+    for report in reports:
+        out.append(report)
+        if sink:
+            sink(report)
+    return out
 
 
 def run_campaign(
@@ -405,23 +438,15 @@ def run_campaign(
     which is how the CLI streams JSON-lines.
     """
     cfg = default_config(name)
-    if overrides:
-        cfg.update({k: v for k, v in overrides.items() if v is not None})
-    instances = campaign_instances(name, cfg)
-    reports = []
+    overrides = overrides or {}
+    unknown = sorted(set(overrides) - set(cfg))
+    if unknown:
+        raise ValueError(f"unknown config keys for {name}: {unknown}; known: {sorted(cfg)}")
+    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    args = [(name, iid, payload, cfg) for iid, payload in campaign_instances(name, cfg)]
     if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            args = [(name, iid, payload, cfg) for iid, payload in instances]
-            for report in pool.imap(_pool_worker, args):
-                reports.append(report)
-                if sink:
-                    sink(report)
-    else:
-        for iid, payload in instances:
-            report = run_instance(name, iid, payload, cfg)
-            reports.append(report)
-            if sink:
-                sink(report)
-    return reports
+            return _stream(pool.imap(_run_one, args), sink)
+    return _stream(map(_run_one, args), sink)

@@ -193,6 +193,74 @@ class TestVerify:
         with pytest.raises(SystemExit):
             main(["verify", "nope"])
 
+    def test_flags_skip_campaigns_without_the_knob(self, capsys):
+        assert main(["verify", "thm4", "--seed", "1", "--max-edges", "3"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 8
+
+
+def _config_file(tmp_path, obj):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+class TestVerifyGuards:
+    def test_memory_guard_gives_skip_reports(self, capsys):
+        assert main(["verify", "cor3", "--max-terms", "5"]) == 0
+        reports = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
+        assert len(reports) == 6
+        for rep in reports:
+            assert set(rep["claims"].values()) == {"SKIP"}
+            assert rep["pass"] is True
+            assert list(rep["values"]) == ["guard"]
+            assert rep["values"]["guard"].endswith("exceed guard 5")
+
+    def test_size_guard_skip_keeps_default_claim_keys(self, tmp_path, capsys):
+        assert main(["verify", "thm1"]) == 0
+        default = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
+        cfg = _config_file(tmp_path, {"factorization_max_n": 2})
+        assert main(["verify", "thm1", "--config", cfg]) == 0
+        guarded = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
+        assert len(guarded) == 3
+        for want, got in zip(default, guarded):
+            assert got["instance"] == want["instance"]
+            assert got["claims"] == dict.fromkeys(want["claims"], "SKIP")
+            assert got["values"]["guard"].startswith("factorization guard")
+
+    def test_enumeration_guard_still_exits_3(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, {"max_k": 4})
+        assert main(["verify", "thm4", "--config", cfg]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, {"graphz": ["K4"]})
+        assert main(["verify", "thm1", "--config", cfg]) == 2
+        assert capsys.readouterr().out == ""
+        with pytest.raises(ValueError, match="graphz"):
+            run_campaign("thm1", overrides={"graphz": ["K4"]})
+
+    def test_registry_matches_config_files(self):
+        from importlib import resources
+
+        from alontarsi.verify import CAMPAIGNS
+
+        files = resources.files("alontarsi") / "campaigns"
+        stems = {p.name[: -len(".json")] for p in files.iterdir() if p.name.endswith(".json")}
+        assert set(CAMPAIGNS) == stems
+
+    @pytest.mark.parametrize("jobs", ["3", "0", "-3"])
+    def test_jobs_out_of_range_rejected(self, jobs, monkeypatch, capsys):
+        import multiprocessing
+        import os
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        assert main(["verify", "cor3", "--jobs", jobs]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestReportAggregation:
     def test_skip_is_not_failure(self):

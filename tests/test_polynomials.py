@@ -15,7 +15,6 @@ from alontarsi import (
     cycle_graph,
     expand_capped,
     full_expansion,
-    graph_polynomial_factors,
     path_graph,
     star_graph,
 )
@@ -47,31 +46,17 @@ K3_EXPANSION = {
 }
 
 
-class TestFactors:
-    def test_k2(self):
-        assert graph_polynomial_factors(complete_graph(2)) == ((0, 1),)
-
-    def test_p3(self):
-        assert graph_polynomial_factors(path_graph(3)) == ((0, 1), (1, 2))
-
-    def test_k3_canonical_order(self):
-        assert graph_polynomial_factors(complete_graph(3)) == ((0, 1), (0, 2), (1, 2))
-
-    def test_empty(self):
-        assert graph_polynomial_factors(Graph(2, [])) == ()
-
-
 class TestExpandCapped:
     def test_k2_cap1(self):
         poly = expand_capped([(0, 1)], 2, 1)
         assert poly.as_dict() == {(1, 0): 1, (0, 1): -1}
 
     def test_k3_cap2_matches_hand_expansion(self):
-        poly = expand_capped(graph_polynomial_factors(complete_graph(3)), 3, 2)
+        poly = expand_capped(complete_graph(3).edges, 3, 2)
         assert poly.as_dict() == K3_EXPANSION
 
     def test_k3_cap1_is_zero(self):
-        poly = expand_capped(graph_polynomial_factors(complete_graph(3)), 3, 1)
+        poly = expand_capped(complete_graph(3).edges, 3, 1)
         assert poly.is_zero()
 
     def test_full_expansion_matches_naive(self):
@@ -87,7 +72,7 @@ class TestExpandCapped:
             naive = naive_expansion(g)
             for cap in range(g.m + 1):
                 want = {e: c for e, c in naive.items() if max(e) <= cap}
-                got = expand_capped(graph_polynomial_factors(g), g.n, cap).as_dict()
+                got = expand_capped(g.edges, g.n, cap).as_dict()
                 assert got == want, (g.edges, cap)
 
     def test_homogeneity(self):
@@ -98,7 +83,7 @@ class TestExpandCapped:
     def test_memory_guard(self):
         with pytest.raises(MemoryGuardExceeded):
             expand_capped(
-                graph_polynomial_factors(complete_graph(5)), 5, 4, max_terms=10
+                complete_graph(5).edges, 5, 4, max_terms=10
             )
 
     def test_memory_guard_propagates_through_atn(self):
