@@ -46,7 +46,8 @@ print("K3 capped at exponent 1 is the zero polynomial:", capped.is_zero())
 
 # ── the same numbers from orientations ─────────────────────────────────
 value, cert = atn_from_orientations(K3)
-print(f"orientation route: ATN(K3) = {value}, census {cert.census}")
+print(f"orientation route: ATN(K3) = {value}, orientation bits {cert.orientation.bits}, "
+      f"census even={cert.census.even}, odd={cert.census.odd}")
 
 C4 = cycle_graph(4)
 cyclic = Orientation(C4, (0, 1, 0, 0))  # the directed four-cycle

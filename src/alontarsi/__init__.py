@@ -22,7 +22,6 @@ from .coloring import (
     chromatic_number,
     choice_number,
     is_k_choosable,
-    lcc_check,
     proper_coloring_from_lists,
 )
 from .efl import (
@@ -68,18 +67,26 @@ from .graphs import (
 from .orientations import (
     EulerianCensus,
     Orientation,
+    OrientationCertificate,
     atn_from_orientations,
     eulerian_census,
     orientation_census_table,
 )
 from .polynomials import (
-    AtnCertificate,
+    MonomialCertificate,
     SparsePolynomial,
     atn_from_polynomial,
     coefficient_of,
     expand_capped,
     full_expansion,
 )
-from .verify import CAMPAIGNS, campaign_passed, default_config, duality_check, run_campaign
+from .verify import (
+    CAMPAIGNS,
+    campaign_passed,
+    default_config,
+    duality_check,
+    lcc_check,
+    run_campaign,
+)
 
 __version__ = "0.1.0"

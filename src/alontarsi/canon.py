@@ -172,9 +172,8 @@ def connected_graphs(max_edges: int, max_vertices: int | None = None) -> list[Gr
                     seen[key] = h
                     nxt.append(h)
         level = nxt
-    out = list(seen.values())
-    out.sort(key=lambda g: (g.m, g.n, canonical_key(g)))
-    return out
+    ordered = sorted(seen.items(), key=lambda kg: (kg[1].m, kg[1].n, kg[0]))
+    return [g for _, g in ordered]
 
 
 def all_graphs(max_vertices: int) -> list[Graph]:
@@ -194,7 +193,8 @@ def all_graphs(max_vertices: int) -> list[Graph]:
                 key = canonical_key(g)
                 if key not in seen:
                     seen[key] = g
-        out.extend(sorted(seen.values(), key=lambda g: (g.m, canonical_key(g))))
+        ordered = sorted(seen.items(), key=lambda kg: (kg[1].m, kg[0]))
+        out.extend(g for _, g in ordered)
     return out
 
 

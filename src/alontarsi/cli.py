@@ -152,7 +152,10 @@ def _cmd_verify(args) -> int:
     overrides = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            overrides.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"--config must hold a JSON object, not {type(loaded).__name__}")
+        overrides.update(loaded)
     # each flag sets its knob only on campaigns that have one
     knobs = default_config(args.campaign)
     for key in ("max_edges", "max_terms", "seed"):

@@ -1,5 +1,5 @@
-"""Brute-force coloring ground truth: chromatic number, choosability, choice
-number, and the chromatic-choosability report for line graphs.
+"""Brute-force coloring ground truth: chromatic number, choosability, and
+choice number.
 
 Choosability checking is doubly exponential, so the guards here are strict
 and loud.  Two exact reductions keep the interesting cases reachable without
@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .errors import SizeGuardExceeded
-from .graphs import Graph, line_graph
+from .graphs import Graph
 
 CHROMATIC_GUARD = 12
 CHOOSABLE_N_GUARD = 6
@@ -231,32 +231,3 @@ def brute_force_k_choosable(g: Graph, k: int, universe: int | None = None) -> bo
             return False
     return True
 
-
-def lcc_check(
-    g: Graph,
-    max_n: int = CHOOSABLE_N_GUARD,
-    max_k: int = CHOOSABLE_K_GUARD,
-    max_terms: int | None = None,
-) -> dict:
-    """Chromatic-choosability report for the line graph of g.
-
-    Computes chi, ch, and the Alon-Tarsi number of L(g), and reports whether
-    ch = chi on this instance and whether the line-graph degree bound holds.
-    """
-    from .polynomials import DEFAULT_TERM_GUARD, atn_from_polynomial
-
-    lg, _ = line_graph(g)
-    chi = chromatic_number(lg)
-    ch = choice_number(lg, max_n=max_n, max_k=max_k)
-    atn, _cert = atn_from_polynomial(
-        lg, max_terms=max_terms if max_terms is not None else DEFAULT_TERM_GUARD
-    )
-    bound = g.max_degree() + 1
-    return {
-        "graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
-        "chi": chi,
-        "ch": ch,
-        "atn": atn,
-        "bounds": {"thm2": bound},
-        "satisfies": {"chromatic_choosable": ch == chi, "thm2": atn <= bound},
-    }

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .errors import SizeGuardExceeded
 from .graphs import Graph
-from .polynomials import AtnCertificate
 
 CENSUS_GUARD = 22
 
@@ -80,6 +79,25 @@ class EulerianCensus:
         return self.even != self.odd
 
 
+@dataclass(frozen=True)
+class OrientationCertificate:
+    """Witness for an Alon-Tarsi number: an orientation whose maximum
+    outdegree is atn - 1 and whose Eulerian census is unbalanced."""
+
+    atn: int
+    orientation: Orientation
+    census: EulerianCensus
+
+    def to_json_obj(self):
+        return {
+            "kind": "orientation",
+            "atn": self.atn,
+            "bits": self.orientation.bits_hex(),
+            "arcs": [list(a) for a in self.orientation.arcs()],
+            "census": {"even": self.census.even, "odd": self.census.odd},
+        }
+
+
 def eulerian_census(d: Orientation, max_edges: int = CENSUS_GUARD) -> EulerianCensus:
     """Count even- and odd-arc Eulerian subdigraphs of the orientation.
 
@@ -124,7 +142,7 @@ def eulerian_census(d: Orientation, max_edges: int = CENSUS_GUARD) -> EulerianCe
 
 def atn_from_orientations(
     g: Graph, max_edges: int = CENSUS_GUARD
-) -> tuple[int, AtnCertificate]:
+) -> tuple[int, OrientationCertificate]:
     """Alon-Tarsi number as 1 + the least maximum outdegree over Alon-Tarsi
     orientations, with the first such orientation (in bit-vector order) as
     the certificate.
@@ -139,12 +157,11 @@ def atn_from_orientations(
     edges = g.edges
     out = [0] * g.n
     best_value = m + 2
-    best_bits: tuple[int, ...] | None = None
-    best_census: EulerianCensus | None = None
+    best: OrientationCertificate | None = None
     bits = [0] * m
 
     def rec(i: int, partial_max: int):
-        nonlocal best_value, best_bits, best_census
+        nonlocal best_value, best
         if partial_max >= best_value:
             return
         if i == m:
@@ -152,8 +169,7 @@ def atn_from_orientations(
             census = eulerian_census(cand, max_edges=max_edges)
             if census.alon_tarsi:
                 best_value = partial_max
-                best_bits = tuple(bits)
-                best_census = census
+                best = OrientationCertificate(partial_max + 1, cand, census)
             return
         u, v = edges[i]
         for b, tail in ((0, u), (1, v)):
@@ -165,14 +181,7 @@ def atn_from_orientations(
         bits[i] = 0
 
     rec(0, 0)
-    cert = AtnCertificate(
-        kind="orientation",
-        atn=best_value + 1,
-        bits=best_bits,
-        arcs=Orientation(g, best_bits).arcs(),
-        census=(best_census.even, best_census.odd),
-    )
-    return best_value + 1, cert
+    return best.atn, best
 
 
 def orientation_census_table(

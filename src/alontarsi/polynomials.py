@@ -9,8 +9,10 @@ a cap of m reproduces the full expansion.
 
 Terms live in a dict keyed by the packed exponent vector: one fixed-width bit
 field per variable, sized from the cap, so the hot loop is integer adds and
-shifts.  Coefficients are plain Python ints; exactness is the whole point,
-since everything downstream hinges on zero versus nonzero.
+shifts.  Variable 0 sits in the most significant field, so integer order on
+keys is lexicographic order on exponent vectors.  Coefficients are plain
+Python ints; exactness is the whole point, since everything downstream hinges
+on zero versus nonzero.
 """
 
 from __future__ import annotations
@@ -33,25 +35,10 @@ class SparsePolynomial:
         self.width = width  # bits per variable in the packed keys
         self.terms = terms
 
-    @classmethod
-    def from_exponent_dict(cls, nvars: int, mapping: dict) -> "SparsePolynomial":
-        width = 1
-        for exps in mapping:
-            for e in exps:
-                width = max(width, int(e).bit_length())
-        packed = {}
-        for exps, coeff in mapping.items():
-            if coeff == 0:
-                continue
-            key = 0
-            for i, e in enumerate(exps):
-                key |= e << (i * width)
-            packed[key] = coeff
-        return cls(nvars, width, packed)
-
     def unpack(self, key: int) -> tuple[int, ...]:
         mask = (1 << self.width) - 1
-        return tuple((key >> (i * self.width)) & mask for i in range(self.nvars))
+        shifts = range((self.nvars - 1) * self.width, -1, -self.width)
+        return tuple((key >> s) & mask for s in shifts)
 
     def items(self):
         for key, coeff in self.terms.items():
@@ -59,17 +46,6 @@ class SparsePolynomial:
 
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return {exps: c for exps, c in self.items()}
-
-    def coefficient(self, exps) -> int:
-        exps = tuple(exps)
-        if len(exps) != self.nvars:
-            raise ValueError("exponent vector length mismatch")
-        if any(e < 0 or e.bit_length() > self.width for e in exps):
-            return 0
-        key = 0
-        for i, e in enumerate(exps):
-            key |= e << (i * self.width)
-        return self.terms.get(key, 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -96,52 +72,25 @@ class SparsePolynomial:
         rows = sorted(self.items())
         return [" ".join([str(c)] + [str(e) for e in exps]) for exps, c in rows]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparsePolynomial)
-            and self.nvars == other.nvars
-            and self.as_dict() == other.as_dict()
-        )
-
     def __repr__(self):
         return f"SparsePolynomial(nvars={self.nvars}, terms={len(self.terms)})"
 
 
 @dataclass(frozen=True)
-class AtnCertificate:
-    """Witness for an Alon-Tarsi number: a monomial or an orientation.
+class MonomialCertificate:
+    """Witness for an Alon-Tarsi number: an exponent vector with nonzero
+    coefficient in the graph polynomial whose largest exponent is atn - 1."""
 
-    A monomial certificate carries an exponent vector with nonzero
-    coefficient whose largest exponent is atn - 1.  An orientation
-    certificate carries direction bits (canonical edge order) whose maximum
-    outdegree is atn - 1 and whose Eulerian census is unbalanced.
-    """
-
-    kind: str  # "monomial" | "orientation"
     atn: int
-    exponents: tuple[int, ...] | None = None
-    coefficient: int | None = None
-    bits: tuple[int, ...] | None = None
-    arcs: tuple[tuple[int, int], ...] | None = None
-    census: tuple[int, int] | None = None
+    exponents: tuple[int, ...]
+    coefficient: int
 
     def to_json_obj(self):
-        if self.kind == "monomial":
-            return {
-                "kind": "monomial",
-                "atn": self.atn,
-                "exponents": list(self.exponents),
-                "coefficient": self.coefficient,
-            }
-        value = 0
-        for i, b in enumerate(self.bits):
-            value |= b << i
         return {
-            "kind": "orientation",
+            "kind": "monomial",
             "atn": self.atn,
-            "bits": format(value, "#x"),
-            "arcs": [list(a) for a in self.arcs],
-            "census": {"even": self.census[0], "odd": self.census[1]},
+            "exponents": list(self.exponents),
+            "coefficient": self.coefficient,
         }
 
 
@@ -161,9 +110,10 @@ def expand_capped(
     # by one, and the violating value is inspected before it can grow again.
     width = (cap + 1).bit_length()
     mask = (1 << width) - 1
+    top = nvars - 1  # variable 0 sits in the most significant field
     terms = {0: 1}
     for u, v in factors:
-        su, sv = u * width, v * width
+        su, sv = (top - u) * width, (top - v) * width
         bump_u, bump_v = 1 << su, 1 << sv
         new: dict[int, int] = {}
         get = new.get
@@ -197,26 +147,21 @@ def full_expansion(g: Graph, max_terms: int = DEFAULT_TERM_GUARD) -> SparsePolyn
 
 def atn_from_polynomial(
     g: Graph, max_terms: int = DEFAULT_TERM_GUARD
-) -> tuple[int, AtnCertificate]:
+) -> tuple[int, MonomialCertificate]:
     """Alon-Tarsi number via capped expansions, with a monomial certificate.
 
     Finds the smallest b >= 1 whose (b-1)-capped expansion is nonzero; the
     capped expansion is monotone in the cap, so iterating b upward is sound.
     Every survivor at the first nonzero cap has maximum exponent exactly b-1
     (anything smaller would have survived the previous cap), and the
-    certificate is the lexicographically smallest surviving exponent vector.
+    certificate is the lexicographically smallest surviving exponent vector,
+    which is the smallest packed key.
     """
     for b in range(1, g.m + 2):
         poly = expand_capped(g.edges, g.n, b - 1, max_terms)
         if not poly.is_zero():
-            exps = min(poly.unpack(k) for k in poly.terms)
-            cert = AtnCertificate(
-                kind="monomial",
-                atn=b,
-                exponents=exps,
-                coefficient=poly.coefficient(exps),
-            )
-            return b, cert
+            key = min(poly.terms)
+            return b, MonomialCertificate(b, poly.unpack(key), poly.terms[key])
     raise AssertionError("graph polynomial expanded to zero at full cap")
 
 

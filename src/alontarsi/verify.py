@@ -21,7 +21,12 @@ import time
 from importlib import resources
 
 from .canon import all_graphs, connected_graphs, graphs_with_edge_budget
-from .coloring import chromatic_number, choice_number
+from .coloring import (
+    CHOOSABLE_K_GUARD,
+    CHOOSABLE_N_GUARD,
+    chromatic_number,
+    choice_number,
+)
 from .efl import generate_all, theorem4_certify
 from .errors import MemoryGuardExceeded, SizeGuardExceeded
 from .graphs import (
@@ -42,7 +47,12 @@ from .orientations import (
     eulerian_census,
     orientation_census_table,
 )
-from .polynomials import atn_from_polynomial, coefficient_of, full_expansion
+from .polynomials import (
+    DEFAULT_TERM_GUARD,
+    atn_from_polynomial,
+    coefficient_of,
+    full_expansion,
+)
 
 
 def report_line(report: dict) -> str:
@@ -69,6 +79,32 @@ def duality_check(g: Graph, d: Orientation, max_edges: int = CENSUS_GUARD) -> bo
 
 def _graph_descriptor(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
+
+
+def lcc_check(
+    g: Graph,
+    max_n: int = CHOOSABLE_N_GUARD,
+    max_k: int = CHOOSABLE_K_GUARD,
+    max_terms: int = DEFAULT_TERM_GUARD,
+) -> dict:
+    """Chromatic-choosability report for the line graph of g.
+
+    Computes chi, ch, and the Alon-Tarsi number of L(g), and reports whether
+    ch = chi on this instance and whether the line-graph degree bound holds.
+    """
+    lg, _ = line_graph(g)
+    chi = chromatic_number(lg)
+    ch = choice_number(lg, max_n=max_n, max_k=max_k)
+    atn, _ = atn_from_polynomial(lg, max_terms=max_terms)
+    bound = g.max_degree() + 1
+    return {
+        "graph": _graph_descriptor(g),
+        "chi": chi,
+        "ch": ch,
+        "atn": atn,
+        "bounds": {"thm2": bound},
+        "satisfies": {"chromatic_choosable": ch == chi, "thm2": atn <= bound},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +284,11 @@ def _run_duality_engines(g: Graph, cfg: dict) -> tuple[dict, dict]:
         and cert_p.coefficient != 0
         and coefficient_of(g, cert_p.exponents) == cert_p.coefficient
     )
-    orient = Orientation(g, cert_o.bits)
+    orient = cert_o.orientation
     census = eulerian_census(orient)
     orient_ok = (
         census.alon_tarsi
-        and (census.even, census.odd) == cert_o.census
+        and census == cert_o.census
         and max(orient.outdegrees(), default=0) == atn_o - 1
     )
     claims = {
@@ -426,6 +462,14 @@ def _stream(reports, sink) -> list[dict]:
     return out
 
 
+def _typed_like(value, default) -> bool:
+    """Exact JSON type of the default (true is not an int); a list's
+    elements must have the types of the default's elements."""
+    if type(value) is not type(default):
+        return False
+    return not isinstance(value, list) or {type(v) for v in value} <= {type(d) for d in default}
+
+
 def run_campaign(
     name: str,
     overrides: dict | None = None,
@@ -435,13 +479,18 @@ def run_campaign(
     """Run one campaign; returns reports in instance order.
 
     sink, when given, receives each report dict as it completes (in order),
-    which is how the CLI streams JSON-lines.
+    which is how the CLI streams JSON-lines.  Overrides must name keys of
+    the campaign's JSON defaults, with values typed like them; None leaves a
+    key at its default.
     """
     cfg = default_config(name)
     overrides = overrides or {}
     unknown = sorted(set(overrides) - set(cfg))
     if unknown:
         raise ValueError(f"unknown config keys for {name}: {unknown}; known: {sorted(cfg)}")
+    for key, value in overrides.items():
+        if value is not None and not _typed_like(value, cfg[key]):
+            raise ValueError(f"{name} config {key!r} must be typed like {cfg[key]!r}: {value!r}")
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     args = [(name, iid, payload, cfg) for iid, payload in campaign_instances(name, cfg)]
     if jobs > 1:

@@ -239,6 +239,27 @@ class TestVerifyGuards:
         with pytest.raises(ValueError, match="graphz"):
             run_campaign("thm1", overrides={"graphz": ["K4"]})
 
+    @pytest.mark.parametrize(
+        "campaign, obj",
+        [
+            ("thm2", [1]),
+            ("thm2", {"max_edges": "x"}),
+            ("thm2", {"max_edges": True}),
+            ("thm1", {"graphs": ["K4", 3]}),
+        ],
+    )
+    def test_malformed_config_rejected(self, campaign, obj, tmp_path, capsys):
+        cfg = _config_file(tmp_path, obj)
+        assert main(["verify", campaign, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input" in captured.err and "Traceback" not in captured.err
+
+    def test_null_config_value_keeps_default(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, {"graphs": None})
+        assert main(["verify", "thm1", "--config", cfg]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
     def test_registry_matches_config_files(self):
         from importlib import resources
 

@@ -1,0 +1,32 @@
+"""The oracles stay independent: the polynomial engine, the orientation
+engine and the brute-force coloring oracle share no package code past the
+graph type and the guard exceptions, so a cross-check between any two of
+them cannot pass by sharing a bug."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import alontarsi
+
+PACKAGE = Path(alontarsi.__file__).resolve().parent
+
+
+def relative_imports(path: Path) -> list[str]:
+    """Modules named by package-relative imports, at module level or nested
+    in a function; `from . import x` names x."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                found.extend(alias.name for alias in node.names)
+            else:
+                found.append(node.module)
+    return found
+
+
+@pytest.mark.parametrize("name", ["polynomials.py", "orientations.py", "coloring.py"])
+def test_oracle_imports_only_graphs_and_errors(name):
+    imports = relative_imports(PACKAGE / name)
+    assert set(imports) <= {"graphs", "errors"}, imports

@@ -17,6 +17,7 @@ from alontarsi import (
     named_graph,
     orientation_census_table,
     path_graph,
+    subdivision_graph,
 )
 
 
@@ -38,6 +39,81 @@ def brute_census(orient):
                 even += 1
     return even, odd
 
+
+def grid_graph(rows, cols):
+    def idx(i, j):
+        return i * cols + j
+
+    edges = [(idx(i, j), idx(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(idx(i, j), idx(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    return Graph(rows * cols, edges)
+
+
+def cube_graph(d):
+    return Graph(1 << d, [(v, v | 1 << i) for v in range(1 << d) for i in range(d) if not v >> i & 1])
+
+
+def is_bipartite(g):
+    side = [None] * g.n
+    adj = g.adjacency()
+    for root in range(g.n):
+        if side[root] is not None:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if side[y] is None:
+                    side[y] = 1 - side[x]
+                    stack.append(y)
+                elif side[y] == side[x]:
+                    return False
+    return True
+
+
+def density_bound(g):
+    """1 + ceil(max m_H / n_H) over induced subgraphs H, by brute force over
+    vertex subsets.  Hakimi (1965): the least maximum outdegree over all
+    orientations is ceil(max m_H / n_H), so this is a lower bound on ATN, and
+    equals it on bipartite graphs, where every orientation is Alon-Tarsi
+    because every Eulerian subdigraph has an even number of arcs."""
+    best_m, best_n = 0, 1
+    for mask in range(1, 1 << g.n):
+        mh = sum(1 for u, v in g.edges if mask >> u & 1 and mask >> v & 1)
+        nh = mask.bit_count()
+        if mh * best_n > best_m * nh:
+            best_m, best_n = mh, nh
+    return 1 - (-best_m // best_n)
+
+
+def degeneracy(g):
+    adj = [set(s) for s in g.adjacency()]
+    alive = set(range(g.n))
+    worst = 0
+    while alive:
+        v = min(alive, key=lambda x: len(adj[x]))
+        worst = max(worst, len(adj[v]))
+        alive.discard(v)
+        for w in adj[v]:
+            adj[w].discard(v)
+    return worst
+
+
+# name -> (graph, whether the orientation engine also runs: K5,5 and the
+# 4x4 grid exceed its 22-edge guard)
+BIPARTITE = {
+    "K3,3": (named_graph("K3,3"), True),
+    "K4,4": (named_graph("K4,4"), True),
+    "K2,6": (named_graph("K2,6"), True),
+    "Q3": (cube_graph(3), True),
+    "grid3x4": (grid_graph(3, 4), True),
+    "S(K4)": (subdivision_graph(complete_graph(4))[0], True),
+    "C8": (cycle_graph(8), True),
+    "K5,5": (named_graph("K5,5"), False),
+    "grid4x4": (grid_graph(4, 4), False),
+    "S(K5)": (subdivision_graph(complete_graph(5))[0], True),
+}
 
 CYCLIC_K3 = (0, 1, 0)  # 0->1->2->0 over edges (0,1),(0,2),(1,2)
 CYCLIC_C4 = (0, 1, 0, 0)  # 0->1->2->3->0 over edges (0,1),(0,3),(1,2),(2,3)
@@ -121,12 +197,12 @@ class TestAlonTarsi:
 class TestAtnFromOrientations:
     def test_k2(self):
         value, cert = atn_from_orientations(complete_graph(2))
-        assert value == 2 and max(Orientation(complete_graph(2), cert.bits).outdegrees()) == 1
+        assert value == 2 and max(Orientation(complete_graph(2), cert.orientation.bits).outdegrees()) == 1
 
     def test_c4_via_cyclic(self):
         value, cert = atn_from_orientations(cycle_graph(4))
         assert value == 2
-        census = eulerian_census(Orientation(cycle_graph(4), cert.bits))
+        census = eulerian_census(Orientation(cycle_graph(4), cert.orientation.bits))
         assert census.alon_tarsi
 
     def test_k3_needs_three(self):
@@ -137,13 +213,13 @@ class TestAtnFromOrientations:
 
     def test_edgeless(self):
         value, cert = atn_from_orientations(Graph(4, []))
-        assert value == 1 and cert.bits == ()
+        assert value == 1 and cert.orientation.bits == ()
 
     def test_certificate_is_first_in_bit_order(self):
         g = cycle_graph(4)
         value, cert = atn_from_orientations(g)
-        best = max(Orientation(g, cert.bits).outdegrees())
-        for candidate in range(Orientation(g, cert.bits).to_int()):
+        best = max(Orientation(g, cert.orientation.bits).outdegrees())
+        for candidate in range(Orientation(g, cert.orientation.bits).to_int()):
             o = Orientation.from_int(g, candidate)
             assert not (
                 max(o.outdegrees()) <= best and eulerian_census(o).alon_tarsi
@@ -215,6 +291,35 @@ class TestEngineAgreement:
         )
         for g in [named_graph("K3,3"), named_graph("C7"), named_graph("2K3"), prism]:
             assert atn_from_polynomial(g)[0] == atn_from_orientations(g)[0]
+
+    @pytest.mark.parametrize("name", BIPARTITE)
+    def test_bipartite_closed_form(self, name):
+        g, both = BIPARTITE[name]
+        assert is_bipartite(g)
+        want = density_bound(g)
+        assert atn_from_polynomial(g)[0] == want
+        if both:
+            assert atn_from_orientations(g)[0] == want
+
+    def test_complete_graphs(self):
+        for n in range(1, 8):
+            assert atn_from_polynomial(complete_graph(n))[0] == n
+        for n in range(1, 6):
+            assert atn_from_orientations(complete_graph(n))[0] == n
+
+    def test_cycles(self):
+        for n in range(3, 12):
+            want = 3 if n % 2 else 2
+            g = cycle_graph(n)
+            assert atn_from_polynomial(g)[0] == want == atn_from_orientations(g)[0], n
+
+    def test_density_and_degeneracy_bounds(self):
+        graphs = [g for g in connected_graphs(7) if g.m >= 1]
+        assert len(graphs) == 131
+        for g in graphs:
+            atn_p, atn_o = atn_from_polynomial(g)[0], atn_from_orientations(g)[0]
+            assert atn_p == atn_o, g.edges
+            assert density_bound(g) <= atn_p <= degeneracy(g) + 1, g.edges
 
     def test_petersen_polynomial_route(self):
         value, cert = atn_from_polynomial(named_graph("petersen"))

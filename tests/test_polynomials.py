@@ -7,7 +7,6 @@ import pytest
 from alontarsi import (
     Graph,
     MemoryGuardExceeded,
-    SparsePolynomial,
     atn_from_polynomial,
     coefficient_of,
     complete_graph,
@@ -194,11 +193,3 @@ class TestSparsePolynomial:
         poly = expand_capped([(0, 1)], 2, 1)
         assert poly.dump_lines() == ["-1 0 1", "1 1 0"]
 
-    def test_equality_across_widths(self):
-        a = SparsePolynomial.from_exponent_dict(2, {(1, 0): 1, (0, 1): -1})
-        b = expand_capped([(0, 1)], 2, 5)
-        assert a == b
-
-    def test_coefficient_out_of_width_range(self):
-        poly = expand_capped([(0, 1)], 2, 1)
-        assert poly.coefficient((7, 0)) == 0
