@@ -87,12 +87,12 @@ def _cmd_construct(args) -> int:
 def _cmd_atn(args) -> int:
     g = _read_graph(args.input)
     results = {}
-    if args.method in ("poly", "both"):
-        value, cert = atn_from_polynomial(g, max_terms=args.max_terms)
-        results["poly"] = (value, cert)
+    # orientations first, so that their edge guard refuses before any
+    # expansion; the output still lists poly before orient
     if args.method in ("orient", "both"):
-        value, cert = atn_from_orientations(g, max_edges=args.max_edges)
-        results["orient"] = (value, cert)
+        results["orient"] = atn_from_orientations(g, max_edges=args.max_edges)
+    if args.method in ("poly", "both"):
+        results = {"poly": atn_from_polynomial(g, max_terms=args.max_terms), **results}
     if args.method == "both" and results["poly"][0] != results["orient"][0]:
         raise CrossCheckMismatch(
             f"polynomial says {results['poly'][0]}, "

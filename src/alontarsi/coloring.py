@@ -89,8 +89,7 @@ def proper_coloring_from_lists(g: Graph, lists) -> tuple[int, ...] | None:
     """A proper coloring picking each vertex's color from its list, or None.
 
     Plain backtracking in vertex order; this is the satisfiability check the
-    choosability enumeration calls at every leaf, and doubles as the
-    independent re-verifier for returned counterexamples.
+    choosability enumeration calls at every leaf.
     """
     adj = g.adjacency()
     chosen = [-1] * g.n
@@ -107,40 +106,6 @@ def proper_coloring_from_lists(g: Graph, lists) -> tuple[int, ...] | None:
         return False
 
     return tuple(chosen) if rec(0) else None
-
-
-def _has_private_color_vertex(adj, lists, alive) -> int | None:
-    for v in alive:
-        neighbor_colors = set()
-        for w in adj[v]:
-            if w in alive:
-                neighbor_colors.update(lists[w])
-        if any(c not in neighbor_colors for c in lists[v]):
-            return v
-    return None
-
-
-def _lists_satisfiable(g: Graph, lists) -> bool:
-    """Leaf check with the private-color reduction before the search.
-
-    A vertex holding a color absent from every neighbor list can always take
-    it, so it can be deleted; this kills most fresh-color-heavy assignments
-    without search.
-    """
-    adj = [set(s) for s in g.adjacency()]
-    alive = set(range(g.n))
-    while True:
-        v = _has_private_color_vertex(adj, lists, alive)
-        if v is None:
-            break
-        alive.discard(v)
-    if not alive:
-        return True
-    sub, remap = g.induced(alive)
-    sub_lists = [None] * sub.n
-    for old, new in remap.items():
-        sub_lists[new] = lists[old]
-    return proper_coloring_from_lists(sub, sub_lists) is not None
 
 
 def _candidate_lists(used: int, k: int):
@@ -163,9 +128,11 @@ def is_k_choosable(
 
     Returns (True, None) or (False, bad_assignment).  The guard applies only
     when enumeration is actually needed, i.e. to the k-core; peeled instances
-    of any size resolve exactly without search.
+    of any size resolve exactly without search.  Raises ValueError for k < 0.
     """
-    if k <= 0:
+    if k < 0:
+        raise ValueError(f"list size k must be at least 0, got {k}")
+    if k == 0:
         return (g.n == 0, tuple(() for _ in range(g.n)) if g.n else None)
     core, keep = _k_core(g, k)
     if core.n == 0:
@@ -180,7 +147,7 @@ def is_k_choosable(
     def search(used: int):
         i = len(assigned)
         if i == core.n:
-            if not _lists_satisfiable(core, assigned):
+            if proper_coloring_from_lists(core, assigned) is None:
                 return list(assigned)
             return None
         for cand in _candidate_lists(used, k):

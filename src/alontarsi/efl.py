@@ -31,6 +31,8 @@ class EflConfig:
         k = self.k
         cliques = tuple(tuple(sorted(c)) for c in self.cliques)
         object.__setattr__(self, "cliques", cliques)
+        if k < 1:
+            raise InvalidConfig(f"k must be positive, got {k}")
         if len(cliques) != k:
             raise InvalidConfig(f"expected {k} cliques, got {len(cliques)}")
         for c in cliques:
@@ -47,14 +49,25 @@ class EflConfig:
 
     @property
     def n(self) -> int:
-        return max(max(c) for c in self.cliques) + 1 if self.cliques else 0
+        return max(max(c) for c in self.cliques) + 1
 
     def to_json_obj(self):
         return {"k": self.k, "cliques": [list(c) for c in self.cliques]}
 
     @classmethod
     def from_json_obj(cls, obj) -> "EflConfig":
-        return cls(int(obj["k"]), tuple(tuple(c) for c in obj["cliques"]))
+        """Parse {"k": int, "cliques": [[int, ...], ...]}; any other shape
+        (a bool or float k included) raises InvalidConfig."""
+        if not isinstance(obj, dict):
+            raise InvalidConfig(f"config must be a JSON object, not {type(obj).__name__}")
+        k, cliques = obj.get("k"), obj.get("cliques")
+        if type(k) is not int:
+            raise InvalidConfig(f'"k" must be an integer, got {k!r}')
+        if not isinstance(cliques, list) or not all(
+            isinstance(c, list) and all(type(v) is int for v in c) for c in cliques
+        ):
+            raise InvalidConfig(f'"cliques" must be a list of integer lists, got {cliques!r}')
+        return cls(k, tuple(tuple(c) for c in cliques))
 
     @classmethod
     def from_json(cls, text: str) -> "EflConfig":

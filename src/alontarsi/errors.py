@@ -14,4 +14,4 @@ class MemoryGuardExceeded(Exception):
 
 
 class InvalidConfig(ValueError):
-    """A clique configuration violates the pairwise-intersection rule."""
+    """A clique configuration is malformed or breaks the intersection rule."""

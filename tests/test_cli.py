@@ -1,10 +1,12 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from alontarsi import named_graph, parse_edge_list_text, to_edge_list_text
+from alontarsi import cli, complete_bipartite, named_graph, parse_edge_list_text, to_edge_list_text
 from alontarsi.cli import main
 from alontarsi.verify import run_campaign
 
@@ -88,6 +90,18 @@ class TestAtn:
     def test_missing_file(self, capsys):
         assert main(["atn", "no-such-file.edges"]) == 2
 
+    def test_both_refuses_at_orientation_guard_before_expanding(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_expansion(*args, **kwargs):
+            raise AssertionError("the polynomial was expanded")
+
+        monkeypatch.setattr(cli, "atn_from_polynomial", no_expansion)
+        src = tmp_path / "k38.edges"
+        src.write_text(to_edge_list_text(complete_bipartite(3, 8)))  # 24 edges
+        assert main(["atn", str(src), "--method", "both"]) == 3
+        assert "orientation guard" in capsys.readouterr().err
+
 
 class TestCensus:
     def test_acyclic(self, k4_file, capsys):
@@ -123,6 +137,11 @@ class TestChoosable:
         src.write_text(to_edge_list_text(named_graph("K4,4")))
         assert main(["choosable", str(src), "-k", "3"]) == 3
 
+    def test_negative_k_is_bad_input(self, k3_file, capsys):
+        assert main(["choosable", k3_file, "-k", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid input" in captured.err
+
 
 class TestEfl:
     def test_generate_counts(self, capsys):
@@ -153,6 +172,26 @@ class TestEfl:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"k": 2, "cliques": [[0,1],[0,1]]}')
         assert main(["efl", "certify", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [1, 2],
+            {"k": 2},
+            {"k": 2, "cliques": 5},
+            {"k": 2, "cliques": [[0, 1], [1, "a"]]},
+            {"k": 2.5, "cliques": [[0, 1], [1, 2]]},
+            {"k": True, "cliques": [[0]]},
+            {"k": 0, "cliques": []},
+        ],
+    )
+    @pytest.mark.parametrize("argv", [["efl", "certify", "--config"], ["construct", "efl"]])
+    def test_malformed_config_rejected(self, obj, argv, tmp_path, capsys):
+        cfg = _config_file(tmp_path, obj)
+        assert main(argv + [cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input" in captured.err and "Traceback" not in captured.err
 
 
 class TestVerify:
@@ -308,3 +347,28 @@ class TestReportAggregation:
 
         with _pytest.raises(ValueError):
             default_config("nope")
+
+
+class TestReadmeSynopsis:
+    def test_every_option_is_listed(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1]
+        block = section.split("```", 2)[1]
+        lines_of = {}
+        current = None
+        for line in block.splitlines():
+            if line.startswith("alontarsi "):
+                current = line.split()[1]
+            if current is not None and line.strip():
+                lines_of.setdefault(current, []).append(line)
+        sub = next(a for a in cli.build_parser()._actions if a.choices and a.dest == "command")
+        for name, parser in sub.choices.items():
+            text = "\n".join(lines_of.get(name, []))
+            assert text, f"README synopsis lacks '{name}'"
+            for action in parser._actions:
+                if not action.option_strings or action.dest == "help":
+                    continue
+                assert any(
+                    re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", text)
+                    for opt in action.option_strings
+                ), f"README synopsis of '{name}' lacks {action.option_strings}"

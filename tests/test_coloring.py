@@ -20,7 +20,56 @@ from alontarsi import (
     proper_coloring_from_lists,
     star_graph,
 )
+from alontarsi.canon import connected_graphs
 from alontarsi.coloring import brute_force_k_choosable
+
+
+def _assert_no_coloring(g, witness, k):
+    """Re-check a bad assignment over raw color tuples, with no search."""
+    assert len(witness) == g.n
+    assert all(len(set(l)) == len(l) == k for l in witness)
+    for pick in product(*witness):
+        assert any(pick[u] == pick[v] for u, v in g.edges), (g.edges, witness, pick)
+
+
+def _two_choosable_by_erdos_rubin_taylor(g):
+    """Erdos-Rubin-Taylor (1979): a connected graph is 2-choosable iff its
+    core (delete degree-1 vertices until none is left) is K1, an even cycle,
+    or theta(2, 2, 2m)."""
+    adj = [set(s) for s in g.adjacency()]
+    alive = set(range(g.n))
+    leaves = [v for v in alive if len(adj[v]) == 1]
+    while leaves:
+        v = leaves.pop()
+        if len(adj[v]) != 1:  # its neighbor was peeled first
+            continue
+        alive.discard(v)
+        (w,) = adj[v]
+        adj[w].discard(v)
+        adj[v].clear()
+        if len(adj[w]) == 1:
+            leaves.append(w)
+    degrees = sorted(len(adj[v]) for v in alive)
+    if len(alive) == 1:
+        return True
+    if all(d == 2 for d in degrees):
+        return len(alive) % 2 == 0
+    if degrees != [2] * (len(alive) - 2) + [3, 3]:
+        return False
+    # two branch vertices: theta(a, b, c) iff all three walks from one end
+    # reach the other; record the three path lengths
+    u, v = (x for x in alive if len(adj[x]) == 3)
+    lengths = []
+    for first in adj[u]:
+        prev, cur, length = u, first, 1
+        while len(adj[cur]) == 2:
+            prev, cur = cur, next(w for w in adj[cur] if w != prev)
+            length += 1
+        if cur != v:
+            return False
+        lengths.append(length)
+    a, b, c = sorted(lengths)
+    return (a, b) == (2, 2) and c % 2 == 0
 
 
 class TestChromaticNumber:
@@ -74,9 +123,27 @@ class TestIsKChoosable:
             assert any(pick[u] == pick[v] for u in range(g.n) for v in adj[u])
 
     def test_k33_not_two_choosable(self):
-        ok, witness = is_k_choosable(complete_bipartite(3, 3), 2)
+        g = complete_bipartite(3, 3)
+        ok, witness = is_k_choosable(g, 2)
         assert not ok
-        assert proper_coloring_from_lists(complete_bipartite(3, 3), witness) is None
+        # pinned: the first bad assignment in restricted-growth order
+        assert witness == ((0, 1), (0, 2), (1, 2), (0, 1), (0, 2), (1, 2))
+        _assert_no_coloring(g, witness, 2)
+
+    def test_two_choosability_matches_closed_form(self):
+        family = connected_graphs(15, max_vertices=6)
+        assert len(family) == 143
+        for g in family:
+            ok, witness = is_k_choosable(g, 2)
+            assert ok == _two_choosable_by_erdos_rubin_taylor(g), g.edges
+            if not ok:
+                _assert_no_coloring(g, witness, 2)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            is_k_choosable(complete_graph(2), -1)
+        assert is_k_choosable(Graph(0, []), 0) == (True, None)
+        assert is_k_choosable(Graph(2, []), 0) == (False, ((), ()))
 
     def test_peeling_resolves_beyond_guard(self):
         # a tree on 10 vertices peels completely at k = 2; no guard hit
