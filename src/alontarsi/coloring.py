@@ -190,11 +190,13 @@ def choice_number(
 
 def brute_force_k_choosable(g: Graph, k: int, universe: int | None = None) -> bool:
     """Independent route: try every assignment over the universe, no
-    canonicalization, no reductions.  Only for tiny cross-validation runs."""
+    canonicalization, no reductions, and a plain product over each
+    assignment's colorings instead of the search's leaf check.  Only for
+    tiny cross-validation runs."""
     colors = range(universe if universe is not None else k * g.n)
     pool = list(combinations(colors, k))
     for lists in product(pool, repeat=g.n):
-        if proper_coloring_from_lists(g, lists) is None:
+        if not any(all(c[u] != c[v] for u, v in g.edges) for c in product(*lists)):
             return False
     return True
 

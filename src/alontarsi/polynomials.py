@@ -13,14 +13,28 @@ shifts.  Variable 0 sits in the most significant field, so integer order on
 keys is lexicographic order on exponent vectors.  Coefficients are plain
 Python ints; exactness is the whole point, since everything downstream hinges
 on zero versus nonzero.
+
+The Alon-Tarsi number needs only the smallest cap whose capped expansion is
+nonzero and that expansion's smallest key, so `atn_from_polynomial` never
+builds a capped expansion whole.  In the canonical edge order a vertex is
+finished once its last factor is in, and terms that differ on the finished
+prefix 0..k-1 never combine again.  So the search expands block by block,
+splits the live terms on their prefix fields wherever the finished prefix
+grows, visits the groups depth-first in increasing prefix order (which is
+lexicographic order), and stops at the first group still nonzero after the
+last factor.  Splitting on a vertex that finishes before a lower-indexed one
+would break the order, so only the prefix is split on.  A survivor has degree
+m with every exponent at most the cap, so it leaves exactly cap*n - m
+capacity unused; a group whose prefix alone leaves more is dropped.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import MemoryGuardExceeded
-from .graphs import Graph
+from .graphs import Edge, Graph
 
 DEFAULT_TERM_GUARD = 10**7
 
@@ -99,10 +113,14 @@ def expand_capped(
     nvars: int,
     cap: int,
     max_terms: int = DEFAULT_TERM_GUARD,
+    start: dict[int, int] | None = None,
+    held: int = 0,
 ) -> SparsePolynomial:
     """Multiply the binomial factors, deleting terms with an exponent > cap.
 
-    Raises MemoryGuardExceeded if the live term count passes max_terms.
+    The product starts from `start`, packed at this cap's width, or from 1.
+    Raises MemoryGuardExceeded if the live terms plus the `held` terms the
+    caller keeps elsewhere pass max_terms.
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
@@ -111,7 +129,7 @@ def expand_capped(
     width = (cap + 1).bit_length()
     mask = (1 << width) - 1
     top = nvars - 1  # variable 0 sits in the most significant field
-    terms = {0: 1}
+    terms = {0: 1} if start is None else start
     for u, v in factors:
         su, sv = (top - u) * width, (top - v) * width
         bump_u, bump_v = 1 << su, 1 << sv
@@ -132,9 +150,9 @@ def expand_capped(
                     new[kv] = x
                 elif kv in new:
                     del new[kv]
-        if len(new) > max_terms:
+        if len(new) + held > max_terms:
             raise MemoryGuardExceeded(
-                f"live terms {len(new)} exceed guard {max_terms}"
+                f"live terms {len(new) + held} exceed guard {max_terms}"
             )
         terms = new
     return SparsePolynomial(nvars, width, terms)
@@ -143,6 +161,64 @@ def expand_capped(
 def full_expansion(g: Graph, max_terms: int = DEFAULT_TERM_GUARD) -> SparsePolynomial:
     """The complete graph polynomial expansion (cap = m is no cap at all)."""
     return expand_capped(g.edges, g.n, max(g.m, 0), max_terms)
+
+
+def _finishing_blocks(g: Graph) -> list[tuple[tuple[Edge, ...], int]]:
+    """Split g's factors into blocks that end where the finished prefix grows.
+
+    A vertex is finished once its last factor is in; the finished prefix is
+    the longest run 0..k-1 of finished vertices.  Each block is paired with
+    the prefix length k after it.  The first block is empty (leading
+    isolated vertices are finished before any factor) and the last one ends
+    with every vertex finished.
+    """
+    last = [-1] * g.n
+    for i, (u, v) in enumerate(g.edges):
+        last[u] = last[v] = i
+    blocks, done, k = [], 0, 0
+    for i in range(-1, g.m):
+        before = k
+        while k < g.n and last[k] <= i:
+            k += 1
+        if i < 0 or k > before:
+            blocks.append((g.edges[done : i + 1], k))
+            done = i + 1
+    return blocks
+
+
+def _first_nonzero_group(
+    g: Graph, blocks, cap: int, max_terms: int
+) -> SparsePolynomial | None:
+    """The group of the cap-capped expansion that holds its smallest key,
+    or None if that expansion is zero: the depth-first search over
+    `blocks` that the module docstring describes."""
+    n = g.n
+    width = (cap + 1).bit_length()
+    mask = (1 << width) - 1
+    slack = cap * n - g.m
+    stack = [(0, {0: 1})]  # (block index, group terms), smallest prefix last
+    held = 1  # terms waiting on the stack, counted by the memory guard
+    while stack:
+        j, terms = stack.pop()
+        held -= len(terms)
+        factors, k = blocks[j]
+        poly = expand_capped(factors, n, cap, max_terms, start=terms, held=held)
+        if j == len(blocks) - 1:
+            if poly.terms:
+                return poly
+            continue
+        shift = (n - k) * width
+        groups: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        for key, c in poly.terms.items():
+            groups[key >> shift][key] = c
+        for prefix in sorted(groups, reverse=True):
+            unused = cap * k - sum(
+                (prefix >> s) & mask for s in range(0, k * width, width)
+            )
+            if unused <= slack:
+                stack.append((j + 1, groups[prefix]))
+                held += len(groups[prefix])
+    return None
 
 
 def atn_from_polynomial(
@@ -156,10 +232,18 @@ def atn_from_polynomial(
     (anything smaller would have survived the previous cap), and the
     certificate is the lexicographically smallest surviving exponent vector,
     which is the smallest packed key.
+
+    No cap's expansion is built whole: a depth-first search over factor
+    blocks splits the live terms on the finished prefix of vertices, visits
+    the groups in lexicographic order, drops groups that leave more capacity
+    unused than a survivor can, and stops at the first group still nonzero
+    after the last factor.  The memory guard counts every term held at
+    once: the group being expanded plus the groups waiting their turn.
     """
+    blocks = _finishing_blocks(g)
     for b in range(1, g.m + 2):
-        poly = expand_capped(g.edges, g.n, b - 1, max_terms)
-        if not poly.is_zero():
+        poly = _first_nonzero_group(g, blocks, b - 1, max_terms)
+        if poly is not None:
             key = min(poly.terms)
             return b, MonomialCertificate(b, poly.unpack(key), poly.terms[key])
     raise AssertionError("graph polynomial expanded to zero at full cap")

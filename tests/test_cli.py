@@ -245,14 +245,14 @@ def _config_file(tmp_path, obj):
 
 class TestVerifyGuards:
     def test_memory_guard_gives_skip_reports(self, capsys):
-        assert main(["verify", "cor3", "--max-terms", "5"]) == 0
+        assert main(["verify", "cor3", "--max-terms", "4"]) == 0
         reports = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
         assert len(reports) == 6
         for rep in reports:
             assert set(rep["claims"].values()) == {"SKIP"}
             assert rep["pass"] is True
             assert list(rep["values"]) == ["guard"]
-            assert rep["values"]["guard"].endswith("exceed guard 5")
+            assert rep["values"]["guard"].endswith("exceed guard 4")
 
     def test_size_guard_skip_keeps_default_claim_keys(self, tmp_path, capsys):
         assert main(["verify", "thm1"]) == 0

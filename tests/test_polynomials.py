@@ -1,5 +1,6 @@
 """Polynomial engine against brute-force oracles and frozen hand expansions."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -7,15 +8,20 @@ import pytest
 from alontarsi import (
     Graph,
     MemoryGuardExceeded,
+    all_graphs,
     atn_from_polynomial,
     coefficient_of,
+    complete_bipartite,
     complete_graph,
     connected_graphs,
     cycle_graph,
     expand_capped,
     full_expansion,
+    line_graph,
     path_graph,
+    petersen_graph,
     star_graph,
+    total_graph,
 )
 
 
@@ -32,6 +38,23 @@ def naive_expansion(g):
                 new[key] = new.get(key, 0) + sign * c
         terms = {k: c for k, c in new.items() if c}
     return terms
+
+
+def whole_expansion_atn(g):
+    """Oracle: the first b whose whole (b-1)-capped expansion is nonzero,
+    with that expansion's smallest key."""
+    for b in range(1, g.m + 2):
+        poly = expand_capped(g.edges, g.n, b - 1)
+        if not poly.is_zero():
+            key = min(poly.terms)
+            return b, poly.unpack(key), poly.terms[key]
+    raise AssertionError("zero at full cap")
+
+
+def relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(perm)
 
 
 # frozen by hand: (x0-x1)(x0-x2)(x1-x2)
@@ -89,6 +112,17 @@ class TestExpandCapped:
         with pytest.raises(MemoryGuardExceeded):
             atn_from_polynomial(complete_graph(5), max_terms=5)
 
+    def test_guard_counts_held_terms(self):
+        expand_capped([(0, 1)], 2, 1, max_terms=4, held=2)
+        with pytest.raises(MemoryGuardExceeded, match="live terms 4 exceed guard 3"):
+            expand_capped([(0, 1)], 2, 1, max_terms=3, held=2)
+
+    def test_start_continues_a_product(self):
+        edges = complete_graph(4).edges
+        head = expand_capped(edges[:2], 4, 2)
+        rest = expand_capped(edges[2:], 4, 2, start=head.terms)
+        assert rest.as_dict() == expand_capped(edges, 4, 2).as_dict()
+
     def test_empty_factor_list_is_one(self):
         poly = expand_capped([], 3, 0)
         assert poly.as_dict() == {(0, 0, 0): 1}
@@ -130,6 +164,59 @@ class TestAtnFromPolynomial:
             "exponents": [0, 1, 2],
             "coefficient": -1,
         }
+
+
+class TestLexFirstSearch:
+    """The depth-first search against the whole capped expansion."""
+
+    def assert_matches_whole_expansion(self, g):
+        value, cert = atn_from_polynomial(g)
+        assert (value, cert.exponents, cert.coefficient) == whole_expansion_atn(g), g.edges
+
+    def test_all_graphs_on_five_vertices(self):
+        # includes disconnected graphs and isolated vertices
+        for g in all_graphs(5):
+            self.assert_matches_whole_expansion(g)
+
+    def test_connected_graphs_up_to_eight_edges(self):
+        for g in connected_graphs(8):
+            self.assert_matches_whole_expansion(g)
+
+    def test_path_finishing_before_a_lower_vertex(self):
+        # vertex 1 finishes after the first factor, vertex 0 only after both
+        self.assert_matches_whole_expansion(Graph(3, [(0, 1), (0, 2)]))
+
+    @pytest.mark.parametrize(
+        "base, seed",
+        [("K5,5", 1), ("K5,5", 8), ("K5,5", 9), ("T(C5)", 2), ("T(C5)", 3), ("T(C5)", 4)],
+    )
+    def test_relabelled_finishing_orders(self, base, seed):
+        g = complete_bipartite(5, 5) if base == "K5,5" else total_graph(cycle_graph(5))[0]
+        g = relabelled(g, seed)
+        last = [-1] * g.n
+        for i, (u, v) in enumerate(g.edges):
+            last[u] = last[v] = i
+        # some vertex finishes before a lower-indexed one
+        assert any(last[y] < last[x] for x in range(g.n) for y in range(x + 1, g.n))
+        self.assert_matches_whole_expansion(g)
+
+    def test_line_graph_of_petersen(self):
+        g, _ = line_graph(petersen_graph())
+        value, cert = atn_from_polynomial(g)
+        assert value == 4
+        assert coefficient_of(g, cert.exponents) == cert.coefficient != 0
+
+    def test_density_bound_is_met(self):
+        # both have 15 vertices and 60 edges, so ATN >= 1 + ceil(60/15) = 5
+        for g in [line_graph(complete_graph(6))[0], total_graph(complete_graph(5))[0]]:
+            assert (g.n, g.m) == (15, 60)
+            value, cert = atn_from_polynomial(g)
+            assert value == 5 and max(cert.exponents) == 4
+
+    def test_relabelled_line_graph_of_k44(self):
+        g = relabelled(line_graph(complete_bipartite(4, 4))[0], 0)
+        value, _ = atn_from_polynomial(g)
+        assert value == 4
 
 
 class TestCoefficientOf:
