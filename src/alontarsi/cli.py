@@ -13,7 +13,7 @@ import os
 import sys
 
 from .coloring import CHOOSABLE_K_GUARD, CHOOSABLE_N_GUARD, is_k_choosable
-from .efl import EflConfig, build_graph, generate_all, theorem4_certify
+from .efl import EflConfig, build_graph, generate_all, generate_up_to, theorem4_certify
 from .errors import InvalidConfig, MemoryGuardExceeded, SizeGuardExceeded
 from .graphs import (
     class2_augment,
@@ -187,15 +187,15 @@ def _cmd_efl(args) -> int:
         with open(args.config, encoding="utf-8") as fh:
             configs.append(EflConfig.from_json(fh.read()))
     else:
-        for k in range(1, args.k + 1):
-            configs.extend(generate_all(k))
+        for level in generate_up_to(args.k):
+            configs.extend(level)
     ok = True
     for cfg in configs:
         report = theorem4_certify(cfg, max_terms=args.max_terms)
         print(json.dumps(report, sort_keys=True))
         if report["applicable"] and not report["conclusion_holds"]:
             ok = False
-        if not report["engines_agree"]:
+        if report["engines_agree"] is False:
             raise CrossCheckMismatch("ATN engines disagree on a configuration")
     return EXIT_OK if ok else EXIT_CLAIM_FAILURE
 

@@ -61,9 +61,6 @@ class Graph:
             self._adj = tuple(frozenset(s) for s in adj)
         return self._adj
 
-    def neighbors(self, v: int) -> frozenset:
-        return self.adjacency()[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency()[v])
 
@@ -99,9 +96,6 @@ class Graph:
                         stack.append(y)
             out.append(sorted(comp))
         return out
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
 
     def induced(self, vertices) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph plus the old->new vertex map."""

@@ -61,9 +61,6 @@ class Orientation:
             degs[tail] += 1
         return tuple(degs)
 
-    def reversed(self) -> "Orientation":
-        return Orientation(self.graph, tuple(1 - b for b in self.bits))
-
 
 @dataclass(frozen=True)
 class EulerianCensus:

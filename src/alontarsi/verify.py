@@ -27,7 +27,7 @@ from .coloring import (
     chromatic_number,
     choice_number,
 )
-from .efl import generate_all, theorem4_certify
+from .efl import generate_up_to, theorem4_certify
 from .errors import MemoryGuardExceeded, SizeGuardExceeded
 from .graphs import (
     Graph,
@@ -229,13 +229,9 @@ def _run_cor3(gname: str, cfg: dict) -> tuple[dict, dict]:
 
 def _run_thm4(cfg_obj, cfg: dict) -> tuple[dict, dict]:
     rep = theorem4_certify(cfg_obj)
-    claims = {
-        "engines_agree": rep["engines_agree"],
-        "conclusion_holds": rep["conclusion_holds"],
-    }
-    values = {k: rep[k] for k in ("config", "atn", "caseA", "caseB", "applicable")}
-    values["oversized_d_components"] = rep["oversized_d_components"]
-    values["certificate"] = rep["certificate"]
+    claims = {k: rep[k] for k in ("engines_agree", "conclusion_holds")}
+    values = {k: rep[k] for k in ("config", "atn", "caseA", "caseB", "applicable",
+                                  "oversized_d_components", "certificate")}
     return claims, values
 
 
@@ -414,8 +410,8 @@ _REGISTRY = {
     "cor3": lambda cfg: _named_graphs("cor3", _run_cor3, cfg),
     "thm4": lambda cfg: [
         (f"thm4/k{k}-{j:03d}", (_run_thm4, c))
-        for k in range(1, cfg["max_k"] + 1)
-        for j, c in enumerate(generate_all(k))
+        for k, configs in enumerate(generate_up_to(cfg["max_k"]), 1)
+        for j, c in enumerate(configs)
     ],
     "duality": _duality_instances,
     "sandwich": lambda cfg: _graph_family("sandwich", _run_sandwich, all_graphs(cfg["max_n"])),

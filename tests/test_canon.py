@@ -72,7 +72,7 @@ class TestConnectedCatalog:
         assert len(fam) == 31  # connected graphs on at most 5 vertices
 
     def test_all_connected(self):
-        assert all(g.is_connected() for g in connected_graphs(6))
+        assert all(len(g.components()) == 1 for g in connected_graphs(6))
 
     def test_pairwise_non_isomorphic(self):
         fam = connected_graphs(6)

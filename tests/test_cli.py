@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from alontarsi import cli, complete_bipartite, named_graph, parse_edge_list_text, to_edge_list_text
+from alontarsi import (
+    cli,
+    complete_bipartite,
+    efl,
+    named_graph,
+    parse_edge_list_text,
+    to_edge_list_text,
+)
 from alontarsi.cli import main
 from alontarsi.verify import run_campaign
 
@@ -166,7 +173,30 @@ class TestEfl:
         assert rep["atn"] == 3
 
     def test_generate_guard(self, capsys):
-        assert main(["efl", "generate", "-k", "4"]) == 3
+        assert main(["efl", "generate", "-k", "6"]) == 3
+
+    def test_certify_k4_skips_only_the_orientation_engine(self, capsys):
+        # m = 24 at k = 4 is past the orientation guard; the polynomial
+        # engine still decides every configuration
+        assert main(["efl", "certify", "-k", "4"]) == 0
+        reports = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
+        assert len(reports) == 1 + 2 + 5 + 16
+        for rep in reports[8:]:
+            assert rep["engines_agree"] == "SKIP"
+            assert rep["atn"] == 4 and rep["conclusion_holds"]
+        assert all(rep["engines_agree"] is True for rep in reports[:8])
+
+    @pytest.mark.parametrize("argv", [["efl", "certify", "-k", "6"], ["verify", "thm4"]])
+    def test_guard_refuses_before_generating(self, argv, tmp_path, monkeypatch, capsys):
+        def generate_all(k):
+            raise AssertionError(f"generated k={k} past the guard")
+
+        monkeypatch.setattr(efl, "generate_all", generate_all)
+        if argv[0] == "verify":
+            argv = argv + ["--config", _config_file(tmp_path, {"max_k": 6})]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "k=6 > 5" in captured.err
 
     def test_invalid_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -267,7 +297,7 @@ class TestVerifyGuards:
             assert got["values"]["guard"].startswith("factorization guard")
 
     def test_enumeration_guard_still_exits_3(self, tmp_path, capsys):
-        cfg = _config_file(tmp_path, {"max_k": 4})
+        cfg = _config_file(tmp_path, {"max_k": 6})
         assert main(["verify", "thm4", "--config", cfg]) == 3
         assert capsys.readouterr().out == ""
 

@@ -1,5 +1,7 @@
 """Clique configurations: validation, decomposition, generation, certification."""
 
+import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -8,6 +10,7 @@ from alontarsi import (
     EflConfig,
     InvalidConfig,
     SizeGuardExceeded,
+    atn_from_polynomial,
     build_graph,
     canonical_config_key,
     canonical_key,
@@ -20,6 +23,7 @@ from alontarsi import (
     hypothesis_check,
     named_graph,
     path_graph,
+    run_campaign,
     star_graph,
     theorem4_certify,
 )
@@ -130,40 +134,43 @@ class TestHypothesisCheck:
         assert contact_vertices(SUNFLOWER) == (0,)
 
 
+def configs_isomorphic(a, b):
+    """Backtracking hypergraph matcher, independent of canonical_config_key."""
+    if sorted(map(sorted, a)) == sorted(map(sorted, b)):
+        return True
+
+    def clique_degree_sequence(cliques):
+        return sorted(Counter(v for c in cliques for v in c).values())
+
+    if clique_degree_sequence(a) != clique_degree_sequence(b):
+        return False
+
+    def backtrack(order, mapping, free):
+        # map the next clique of a onto a free clique of b, extending the
+        # vertex map injectively
+        if not order:
+            return True
+        clique = order[0]
+        loose = sorted(v for v in clique if v not in mapping)
+        used = set(mapping.values())
+        for target in free:
+            if any(mapping[v] not in target for v in clique if v in mapping):
+                continue
+            spare = [w for w in target if w not in used]
+            if len(spare) != len(loose):
+                continue
+            for image in permutations(spare):
+                trial = {**mapping, **dict(zip(loose, image))}
+                if backtrack(order[1:], trial, free - {target}):
+                    return True
+        return False
+
+    return backtrack([frozenset(c) for c in a], {}, frozenset(map(frozenset, b)))
+
+
 def independent_recount(k):
     """Second enumeration route: exhaustive labeled configs over a fixed
     ground set, deduplicated by a backtracking hypergraph matcher."""
-
-    def configs_isomorphic(a, b):
-        if sorted(map(sorted, a)) == sorted(map(sorted, b)):
-            return True
-        verts_a = sorted({v for c in a for v in c})
-        verts_b = sorted({v for c in b for v in c})
-        if len(verts_a) != len(verts_b):
-            return False
-        sets_b = [frozenset(c) for c in b]
-
-        def backtrack(order, mapping):
-            if not order:
-                return True
-            clique = order[0]
-            for target in sets_b:
-                for image in permutations(target):
-                    trial = dict(mapping)
-                    ok = True
-                    for v, w in zip(sorted(clique), image):
-                        if trial.get(v, w) != w or w in set(trial.values()) - {
-                            trial.get(v)
-                        }:
-                            ok = False
-                            break
-                        trial[v] = w
-                    if ok and backtrack(order[1:], trial):
-                        return True
-            return False
-
-        return backtrack([frozenset(c) for c in a], {})
-
     ground = range(k * k)
     all_cliques = list(combinations(ground, k))
     first = tuple(range(k))
@@ -209,7 +216,7 @@ class TestGenerateAll:
 
     def test_guard(self):
         with pytest.raises(SizeGuardExceeded):
-            generate_all(4)
+            generate_all(6)
 
     def test_all_valid(self):
         for k in (1, 2, 3):
@@ -217,6 +224,65 @@ class TestGenerateAll:
                 assert len(cfg.cliques) == k
                 for a, b in combinations(cfg.cliques, 2):
                     assert len(set(a) & set(b)) <= 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pinned_cliques_and_order(self, k):
+        # thm4 numbers its instances in this order
+        assert [cfg.cliques for cfg in generate_all(k)] == GENERATED[k]
+
+
+GENERATED = {
+    1: [((0,),)],
+    2: [((0, 1), (0, 2)), ((0, 1), (2, 3))],
+    3: [
+        ((0, 1, 2), (0, 3, 4), (0, 5, 6)),
+        ((0, 1, 2), (0, 3, 4), (1, 3, 5)),
+        ((0, 1, 2), (3, 4, 5), (0, 3, 6)),
+        ((0, 1, 2), (3, 4, 5), (0, 6, 7)),
+        ((0, 1, 2), (3, 4, 5), (6, 7, 8)),
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def k4_configs():
+    return generate_all(4)
+
+
+class TestGenerateK4:
+    def test_count(self, k4_configs):
+        assert len(k4_configs) == 16
+
+    def test_pairwise_non_isomorphic(self, k4_configs):
+        for a, b in combinations(k4_configs, 2):
+            assert not configs_isomorphic(a.cliques, b.cliques)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_key_ignores_relabeling_and_clique_order(self, k4_configs, seed):
+        rng = random.Random(seed)
+        for cfg in k4_configs:
+            perm = list(range(cfg.n))
+            rng.shuffle(perm)
+            cliques = [tuple(perm[v] for v in c) for c in cfg.cliques]
+            rng.shuffle(cliques)
+            moved = EflConfig(4, tuple(cliques))
+            assert configs_isomorphic(moved.cliques, cfg.cliques)
+            assert canonical_config_key(moved) == canonical_config_key(cfg)
+
+    def test_atn_is_k_and_hypothesis_applies(self, k4_configs):
+        for cfg in k4_configs:
+            assert atn_from_polynomial(build_graph(cfg))[0] == 4
+            assert any(hypothesis_check(cfg).values())
+
+    def test_campaign_skips_only_the_orientation_engine(self):
+        reports = run_campaign("thm4", {"max_k": 4})
+        assert len(reports) == 24
+        assert [r["instance"] for r in reports[8:]] == [f"thm4/k4-{j:03d}" for j in range(16)]
+        for rep in reports[8:]:
+            assert rep["claims"] == {"engines_agree": "SKIP", "conclusion_holds": True}
+            assert rep["pass"] and rep["values"]["atn"] == 4
+        default = [{k: v for k, v in r.items() if k != "wall_ms"} for r in run_campaign("thm4")]
+        assert [{k: v for k, v in r.items() if k != "wall_ms"} for r in reports[:8]] == default
 
 
 class TestCanonicalConfigKey:

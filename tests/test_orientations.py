@@ -133,10 +133,6 @@ class TestOrientationType:
     def test_hex(self):
         assert Orientation.from_int(complete_graph(4), 12).bits_hex() == "0xc"
 
-    def test_reversed(self):
-        o = Orientation(complete_graph(3), CYCLIC_K3)
-        assert o.reversed().bits == (1, 0, 1)
-
     def test_bad_bits(self):
         with pytest.raises(ValueError):
             Orientation(complete_graph(3), (0, 1))
