@@ -13,6 +13,7 @@ from alontarsi import (
     named_graph,
     parse_edge_list_text,
     to_edge_list_text,
+    verify,
 )
 from alontarsi.cli import main
 from alontarsi.verify import run_campaign
@@ -295,6 +296,25 @@ class TestVerifyGuards:
             assert got["instance"] == want["instance"]
             assert got["claims"] == dict.fromkeys(want["claims"], "SKIP")
             assert got["values"]["guard"].startswith("factorization guard")
+
+    def test_orientation_guard_skips_only_its_claim(self, monkeypatch):
+        # L(K4) has m = 12: the factorization claims finish, the orientation
+        # engine's guard trips
+        overrides = {"graphs": ["K4"], "orientation_max_edges": 11}
+        (rep,) = run_campaign("thm1", overrides=overrides)
+        assert rep["claims"] == {
+            "factor_structure": True,
+            "pair_all_ones_monomial": True,
+            "atn_line_equals_delta": "SKIP",
+        }
+        assert rep["values"]["atn_line"] == 3 and rep["pass"] is True
+        assert rep["values"]["guard"] == "orientation guard: m=12 > 11"
+
+        # a polynomial value off Delta still fails without the other engine
+        real = verify.atn_from_polynomial
+        monkeypatch.setattr(verify, "atn_from_polynomial", lambda g: (real(g)[0] + 1, real(g)[1]))
+        (rep,) = run_campaign("thm1", overrides=overrides)
+        assert rep["claims"]["atn_line_equals_delta"] is False and rep["pass"] is False
 
     def test_enumeration_guard_still_exits_3(self, tmp_path, capsys):
         cfg = _config_file(tmp_path, {"max_k": 6})

@@ -1,5 +1,7 @@
 """Orientation census against a brute-force oracle, plus engine agreement."""
 
+from itertools import product
+
 import pytest
 
 from alontarsi import (
@@ -18,7 +20,9 @@ from alontarsi import (
     orientation_census_table,
     path_graph,
     subdivision_graph,
+    total_graph,
 )
+from alontarsi import orientations
 
 
 def brute_census(orient):
@@ -190,6 +194,23 @@ class TestAlonTarsi:
         assert eulerian_census(Orientation(cycle_graph(4), CYCLIC_C4)).alon_tarsi
 
 
+class TestOutdegreeLemma:
+    def test_difference_depends_only_on_outdegrees(self):
+        # Alon & Tarsi 1992: orientations with one outdegree vector differ on
+        # an Eulerian subdigraph, so |even - odd| is shared.  The orientation
+        # search skips repeated vectors on the strength of this.
+        graphs = graphs_with_edge_budget(8)
+        seen = 0
+        for g in graphs:
+            first = {}
+            for value in range(1 << g.m):
+                o = Orientation.from_int(g, value)
+                diff = eulerian_census(o).difference
+                assert first.setdefault(o.outdegrees(), diff) == diff, (g.edges, value)
+                seen += 1
+        assert (len(graphs), seen) == (788, 155299)
+
+
 class TestAtnFromOrientations:
     def test_k2(self):
         value, cert = atn_from_orientations(complete_graph(2))
@@ -212,14 +233,39 @@ class TestAtnFromOrientations:
         assert value == 1 and cert.orientation.bits == ()
 
     def test_certificate_is_first_in_bit_order(self):
-        g = cycle_graph(4)
-        value, cert = atn_from_orientations(g)
-        best = max(Orientation(g, cert.orientation.bits).outdegrees())
-        for candidate in range(Orientation(g, cert.orientation.bits).to_int()):
-            o = Orientation.from_int(g, candidate)
-            assert not (
-                max(o.outdegrees()) <= best and eulerian_census(o).alon_tarsi
-            )
+        # lexicographic over the bit tuple, edge 0 first: the order of
+        # itertools.product, which differs from integer order (P3 gives 0x2)
+        for g in graphs_with_edge_budget(7):
+            want = None
+            for bits in product((0, 1), repeat=g.m):
+                o = Orientation(g, bits)
+                top = max(o.outdegrees(), default=0)
+                if (want is None or top < want[0]) and eulerian_census(o).alon_tarsi:
+                    want = (top, bits)
+            value, cert = atn_from_orientations(g)
+            assert (value, cert.orientation.bits) == (want[0] + 1, want[1]), g.edges
+
+    @pytest.mark.parametrize(
+        "g, censuses, bits, census",
+        [
+            (complete_graph(6), 1187, "0x0", (1, 0)),
+            (total_graph(cycle_graph(5))[0], 3, "0x8", (3, 2)),
+        ],
+        ids=["K6", "T(C5)"],
+    )
+    def test_one_census_per_outdegree_vector(self, g, censuses, bits, census, monkeypatch):
+        calls = []
+        census_fn = orientations.eulerian_census
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return census_fn(*args, **kwargs)
+
+        monkeypatch.setattr(orientations, "eulerian_census", counted)
+        _, cert = atn_from_orientations(g)
+        assert len(calls) == censuses
+        assert cert.orientation.bits_hex() == bits
+        assert (cert.census.even, cert.census.odd) == census
 
     def test_orientation_json(self):
         _, cert = atn_from_orientations(cycle_graph(4))
@@ -275,6 +321,12 @@ class TestEngineAgreement:
         for g in connected_graphs(6, max_vertices=4):
             assert atn_from_polynomial(g)[0] == atn_from_orientations(g)[0]
 
+    def test_connected_on_6_vertices(self):
+        graphs = [g for g in connected_graphs(15, max_vertices=6) if g.n == 6]
+        assert len(graphs) == 112
+        for g in graphs:
+            assert atn_from_polynomial(g)[0] == atn_from_orientations(g)[0], g.edges
+
     def test_named_instances(self):
         for name in ["K4", "C5", "K2,3", "paw", "diamond", "bull"]:
             g = named_graph(name)
@@ -300,7 +352,7 @@ class TestEngineAgreement:
     def test_complete_graphs(self):
         for n in range(1, 8):
             assert atn_from_polynomial(complete_graph(n))[0] == n
-        for n in range(1, 6):
+        for n in range(1, 7):
             assert atn_from_orientations(complete_graph(n))[0] == n
 
     def test_cycles(self):
