@@ -83,16 +83,18 @@ def _connected_key(g: Graph) -> tuple:
     return (n, *best)
 
 
+def _union_key(keys: list[tuple]) -> tuple:
+    """The key of a graph whose components have the connected keys `keys`."""
+    if len(keys) == 1:
+        return ("c", keys[0])
+    return ("d", tuple(sorted(keys)))
+
+
 def canonical_key(g: Graph) -> tuple:
     """Isomorphism-invariant key; equal exactly for isomorphic graphs."""
     comps = g.components()
-    if len(comps) <= 1:
-        return ("c", _connected_key(g))
-    keys = []
-    for comp in comps:
-        sub, _ = g.induced(comp)
-        keys.append(_connected_key(sub))
-    return ("d", tuple(sorted(keys)))
+    parts = [g.induced(comp)[0] for comp in comps] if len(comps) > 1 else [g]
+    return _union_key([_connected_key(part) for part in parts])
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:
@@ -143,16 +145,12 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def connected_graphs(max_edges: int, max_vertices: int | None = None) -> list[Graph]:
-    """All connected graphs with at most max_edges edges, up to isomorphism.
-
-    Grown edge by edge: every connected graph with m+1 edges arises from a
-    connected m-edge graph either by joining two existing vertices (undoing a
-    non-cut edge) or by attaching a pendant vertex (undoing a leaf).  Includes
-    the one-vertex graph.  Deterministic output order.
-    """
+def _connected_catalog(
+    max_edges: int, max_vertices: int | None = None
+) -> list[tuple[tuple, Graph]]:
+    """connected_graphs' graphs paired with their connected keys."""
     start = Graph(1, [])
-    seen = {canonical_key(start): start}
+    seen = {_connected_key(start): start}
     level = [start]
     for _ in range(max_edges):
         nxt = []
@@ -167,13 +165,23 @@ def connected_graphs(max_edges: int, max_vertices: int | None = None) -> list[Gr
                 for u in range(g.n):
                     cands.append(Graph(g.n + 1, list(g.edges) + [(u, g.n)]))
             for h in cands:
-                key = canonical_key(h)
+                key = _connected_key(h)
                 if key not in seen:
                     seen[key] = h
                     nxt.append(h)
         level = nxt
-    ordered = sorted(seen.items(), key=lambda kg: (kg[1].m, kg[1].n, kg[0]))
-    return [g for _, g in ordered]
+    return sorted(seen.items(), key=lambda kg: (kg[1].m, kg[1].n, kg[0]))
+
+
+def connected_graphs(max_edges: int, max_vertices: int | None = None) -> list[Graph]:
+    """All connected graphs with at most max_edges edges, up to isomorphism.
+
+    Grown edge by edge: every connected graph with m+1 edges arises from a
+    connected m-edge graph either by joining two existing vertices (undoing a
+    non-cut edge) or by attaching a pendant vertex (undoing a leaf).  Includes
+    the one-vertex graph.  Deterministic output order.
+    """
+    return [g for _, g in _connected_catalog(max_edges, max_vertices)]
 
 
 def all_graphs(max_vertices: int) -> list[Graph]:
@@ -203,22 +211,21 @@ def graphs_with_edge_budget(max_edges: int) -> list[Graph]:
 
     Assembled as multisets of connected components (each with at least one
     edge), so the per-component catalog above does the isomorphism work.
-    Includes the empty graph on zero vertices.
+    Each union is grown by one component at a time, and its sort key is
+    built from the component keys the catalog already computed; no union is
+    canonicalized again.  Sorted by (m, n, canonical_key).  Includes the
+    empty graph on zero vertices.
     """
-    comps = [g for g in connected_graphs(max_edges) if g.m >= 1]
-    out: list[Graph] = []
+    comps = [(key, g) for key, g in _connected_catalog(max_edges) if g.m >= 1]
+    out: list[tuple[tuple, Graph]] = []
 
-    def rec(start: int, budget: int, chosen: list[Graph]):
-        acc = Graph(0, [])
-        for part in chosen:
-            acc = disjoint_union(acc, part)
-        out.append(acc)
+    def rec(start: int, budget: int, acc: Graph, keys: list[tuple]):
+        out.append((_union_key(keys), acc))
         for i in range(start, len(comps)):
-            if comps[i].m <= budget:
-                chosen.append(comps[i])
-                rec(i, budget - comps[i].m, chosen)
-                chosen.pop()
+            key, part = comps[i]
+            if part.m <= budget:
+                rec(i, budget - part.m, disjoint_union(acc, part), keys + [key])
 
-    rec(0, max_edges, [])
-    out.sort(key=lambda g: (g.m, g.n, canonical_key(g)))
-    return out
+    rec(0, max_edges, Graph(0, []), [])
+    out.sort(key=lambda kg: (kg[1].m, kg[1].n, kg[0]))
+    return [g for _, g in out]

@@ -235,11 +235,7 @@ def generate_up_to(max_k: int) -> list[list[EflConfig]]:
     return [generate_all(k) for k in range(1, max_k + 1)]
 
 
-def theorem4_certify(
-    cfg: EflConfig,
-    max_terms: int = DEFAULT_TERM_GUARD,
-    orientation_max_edges: int = CENSUS_GUARD,
-) -> dict:
+def theorem4_certify(cfg: EflConfig, max_terms: int = DEFAULT_TERM_GUARD) -> dict:
     """Certify one configuration: both Alon-Tarsi engines plus the case split.
 
     Rather than reconstructing an orientation argument for the connector
@@ -250,7 +246,7 @@ def theorem4_certify(
     g = build_graph(cfg)
     atn_p, cert_p = atn_from_polynomial(g, max_terms=max_terms)
     try:
-        atn_o, _cert_o = atn_from_orientations(g, max_edges=orientation_max_edges)
+        atn_o, _cert_o = atn_from_orientations(g, max_edges=CENSUS_GUARD)
         agree = atn_p == atn_o
     except SizeGuardExceeded:
         agree = "SKIP"

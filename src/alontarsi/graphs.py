@@ -24,9 +24,9 @@ Edge = tuple[int, int]
 class Graph:
     """Immutable simple graph on vertices 0..n-1 with a canonical edge list."""
 
-    __slots__ = ("n", "edges", "labels", "_adj")
+    __slots__ = ("n", "edges", "_adj")
 
-    def __init__(self, n: int, edges, labels=None):
+    def __init__(self, n: int, edges):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         canon = []
@@ -45,7 +45,6 @@ class Graph:
                 raise ValueError(f"duplicate edge {a}")
         self.n = n
         self.edges = tuple(canon)
-        self.labels = tuple(labels) if labels is not None else None
         self._adj = None
 
     @property
@@ -216,8 +215,7 @@ def subdivision_graph(g: Graph) -> tuple[Graph, VertexRoleMap]:
         out.append((u, w))
         out.append((v, w))
         roles.append(VertexRole(w, "edge", (u, v)))
-    labels = [f"v{v}" for v in range(n)] + [f"e({u},{v})" for u, v in g.edges]
-    return Graph(n + g.m, out, labels=labels), VertexRoleMap(tuple(roles))
+    return Graph(n + g.m, out), VertexRoleMap(tuple(roles))
 
 
 def total_graph(g: Graph) -> tuple[Graph, VertexRoleMap]:
@@ -232,7 +230,7 @@ def total_graph(g: Graph) -> tuple[Graph, VertexRoleMap]:
     out.extend(g.edges)
     lg, _ = line_graph(g)
     out.extend((n + a, n + b) for a, b in lg.edges)
-    return Graph(n + g.m, out, labels=s.labels), roles
+    return Graph(n + g.m, out), roles
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
@@ -552,9 +550,7 @@ def parse_edge_list_text(text: str) -> Graph:
 def to_dot(g: Graph, name: str = "G") -> str:
     """Graphviz DOT text for visual inspection."""
     lines = [f"graph {name} {{"]
-    for v in range(g.n):
-        label = g.labels[v] if g.labels else str(v)
-        lines.append(f'  {v} [label="{label}"];')
+    lines.extend(f'  {v} [label="{v}"];' for v in range(g.n))
     lines.extend(f"  {u} -- {v};" for u, v in g.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

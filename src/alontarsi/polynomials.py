@@ -10,7 +10,8 @@ a cap of m reproduces the full expansion.
 Terms live in a dict keyed by the packed exponent vector: one fixed-width bit
 field per variable, sized from the cap, so the hot loop is integer adds and
 shifts.  Variable 0 sits in the most significant field, so integer order on
-keys is lexicographic order on exponent vectors.  Coefficients are plain
+keys is lexicographic order on exponent vectors.  Other modules read and
+write keys only through `SparsePolynomial.pack` and `unpack`.  Coefficients are plain
 Python ints; exactness is the whole point, since everything downstream hinges
 on zero versus nonzero.
 
@@ -49,6 +50,15 @@ class SparsePolynomial:
         self.width = width  # bits per variable in the packed keys
         self.terms = terms
 
+    def pack(self, exps) -> int:
+        """The key of an exponent vector; the inverse of `unpack`.  Packing
+        is additive, pack(a) + pack(b) == pack(a + b), while every field of
+        a + b fits the width, as it does when no exponent passes the cap."""
+        key = 0
+        for e in exps:
+            key = (key << self.width) + e
+        return key
+
     def unpack(self, key: int) -> tuple[int, ...]:
         mask = (1 << self.width) - 1
         shifts = range((self.nvars - 1) * self.width, -1, -self.width)
@@ -57,9 +67,6 @@ class SparsePolynomial:
     def items(self):
         for key, coeff in self.terms.items():
             yield self.unpack(key), coeff
-
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        return {exps: c for exps, c in self.items()}
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -102,6 +102,10 @@ class TestEdgeBudgetCatalog:
         counts = Counter(g.m for g in graphs_with_edge_budget(8))
         assert dict(counts) == {0: 1, 1: 1, 2: 2, 3: 5, 4: 11, 5: 26, 6: 68, 7: 177, 8: 497}
 
+    def test_sorted_by_size_then_canonical_key(self):
+        fam = graphs_with_edge_budget(8)
+        assert fam == sorted(fam, key=lambda g: (g.m, g.n, canonical_key(g)))
+
     def test_no_isolated_vertices(self):
         assert all(0 not in g.degrees() for g in graphs_with_edge_budget(6) if g.n)
 

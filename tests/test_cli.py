@@ -316,6 +316,28 @@ class TestVerifyGuards:
         (rep,) = run_campaign("thm1", overrides=overrides)
         assert rep["claims"]["atn_line_equals_delta"] is False and rep["pass"] is False
 
+    def test_duality_census_checks_every_orientation(self, monkeypatch):
+        # one nonzero coefficient of K4 goes missing: the identity claim
+        # fails, and the other claim and the Alon-Tarsi count still cover
+        # all 64 orientations
+        g, cfg = named_graph("K4"), verify.default_config("duality")
+        claims, values = verify._run_duality_census(g, cfg)
+        assert claims == {"census_matches_coefficients": True, "arc_reversal_symmetric": True}
+        real = verify.full_expansion
+
+        def dropped(h):
+            poly = real(h)
+            del poly.terms[max(poly.terms)]
+            return poly
+
+        monkeypatch.setattr(verify, "full_expansion", dropped)
+        bad_claims, bad_values = verify._run_duality_census(g, cfg)
+        assert bad_claims == {
+            "census_matches_coefficients": False,
+            "arc_reversal_symmetric": True,
+        }
+        assert bad_values == values and values["alon_tarsi_orientations"] > 0
+
     def test_enumeration_guard_still_exits_3(self, tmp_path, capsys):
         cfg = _config_file(tmp_path, {"max_k": 6})
         assert main(["verify", "thm4", "--config", cfg]) == 3

@@ -30,3 +30,18 @@ def relative_imports(path: Path) -> list[str]:
 def test_oracle_imports_only_graphs_and_errors(name):
     imports = relative_imports(PACKAGE / name)
     assert set(imports) <= {"graphs", "errors"}, imports
+
+
+def test_only_polynomials_reads_the_key_layout():
+    """Packed keys are read and written through SparsePolynomial.pack and
+    unpack; no other module touches the field width."""
+    readers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "polynomials.py"
+        and any(
+            isinstance(node, ast.Attribute) and node.attr == "width"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    ]
+    assert readers == []

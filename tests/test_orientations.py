@@ -1,6 +1,7 @@
 """Orientation census against a brute-force oracle, plus engine agreement."""
 
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -10,6 +11,7 @@ from alontarsi import (
     SizeGuardExceeded,
     atn_from_orientations,
     atn_from_polynomial,
+    coefficient_of,
     complete_graph,
     connected_graphs,
     cycle_graph,
@@ -368,6 +370,19 @@ class TestEngineAgreement:
             atn_p, atn_o = atn_from_polynomial(g)[0], atn_from_orientations(g)[0]
             assert atn_p == atn_o, g.edges
             assert density_bound(g) <= atn_p <= degeneracy(g) + 1, g.edges
+
+    def test_seeded_random_graphs(self):
+        # m stays at most 15: some 20-edge instances take seconds each
+        rng = random.Random(2026)
+        for _ in range(200):
+            n = rng.randint(2, 8)
+            pairs = list(combinations(range(n), 2))
+            g = Graph(n, rng.sample(pairs, rng.randint(0, min(15, len(pairs)))))
+            atn_p, cert_p = atn_from_polynomial(g)
+            atn_o, cert_o = atn_from_orientations(g)
+            assert atn_p == atn_o, (n, g.edges)
+            assert coefficient_of(g, cert_p.exponents) == cert_p.coefficient, g.edges
+            assert eulerian_census(cert_o.orientation) == cert_o.census, g.edges
 
     def test_petersen_polynomial_route(self):
         value, cert = atn_from_polynomial(named_graph("petersen"))

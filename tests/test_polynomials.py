@@ -71,11 +71,11 @@ K3_EXPANSION = {
 class TestExpandCapped:
     def test_k2_cap1(self):
         poly = expand_capped([(0, 1)], 2, 1)
-        assert poly.as_dict() == {(1, 0): 1, (0, 1): -1}
+        assert dict(poly.items()) == {(1, 0): 1, (0, 1): -1}
 
     def test_k3_cap2_matches_hand_expansion(self):
         poly = expand_capped(complete_graph(3).edges, 3, 2)
-        assert poly.as_dict() == K3_EXPANSION
+        assert dict(poly.items()) == K3_EXPANSION
 
     def test_k3_cap1_is_zero(self):
         poly = expand_capped(complete_graph(3).edges, 3, 1)
@@ -83,7 +83,7 @@ class TestExpandCapped:
 
     def test_full_expansion_matches_naive(self):
         for g in connected_graphs(5):
-            assert full_expansion(g).as_dict() == naive_expansion(g)
+            assert dict(full_expansion(g).items()) == naive_expansion(g)
 
     def test_cap_correctness_against_naive(self):
         # capped result = full expansion restricted to exponents <= cap
@@ -94,7 +94,7 @@ class TestExpandCapped:
             naive = naive_expansion(g)
             for cap in range(g.m + 1):
                 want = {e: c for e, c in naive.items() if max(e) <= cap}
-                got = expand_capped(g.edges, g.n, cap).as_dict()
+                got = dict(expand_capped(g.edges, g.n, cap).items())
                 assert got == want, (g.edges, cap)
 
     def test_homogeneity(self):
@@ -121,11 +121,11 @@ class TestExpandCapped:
         edges = complete_graph(4).edges
         head = expand_capped(edges[:2], 4, 2)
         rest = expand_capped(edges[2:], 4, 2, start=head.terms)
-        assert rest.as_dict() == expand_capped(edges, 4, 2).as_dict()
+        assert dict(rest.items()) == dict(expand_capped(edges, 4, 2).items())
 
     def test_empty_factor_list_is_one(self):
         poly = expand_capped([], 3, 0)
-        assert poly.as_dict() == {(0, 0, 0): 1}
+        assert dict(poly.items()) == {(0, 0, 0): 1}
 
 
 class TestAtnFromPolynomial:
@@ -248,7 +248,7 @@ class TestVandermonde:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_complete_graph_expansion(self, n):
         poly = full_expansion(complete_graph(n))
-        terms = poly.as_dict()
+        terms = dict(poly.items())
         import math
 
         assert len(terms) == math.factorial(n)
@@ -279,4 +279,10 @@ class TestSparsePolynomial:
     def test_dump_lines_sorted(self):
         poly = expand_capped([(0, 1)], 2, 1)
         assert poly.dump_lines() == ["-1 0 1", "1 1 0"]
+
+    def test_pack_inverts_unpack(self):
+        poly = full_expansion(complete_graph(4))
+        for key in poly.terms:
+            assert poly.pack(poly.unpack(key)) == key
+        assert poly.pack((1, 2, 0, 3)) + poly.pack((2, 0, 1, 0)) == poly.pack((3, 2, 1, 3))
 
