@@ -15,7 +15,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .errors import SizeGuardExceeded
 from .graphs import Graph, disjoint_union
+
+# all_graphs enumerates 2^C(n,2) edge subsets per n; it refuses n past this
+ALL_GRAPHS_GUARD = 6
 
 
 def _invariants(adj: list[frozenset]) -> list[tuple]:
@@ -189,8 +193,12 @@ def all_graphs(max_vertices: int) -> list[Graph]:
 
     Isolated vertices count: a graph and the same graph plus an isolated
     vertex are distinct entries.  Enumerates edge subsets per vertex count and
-    dedups by canonical key; fine through n = 6 or so.
+    dedups by canonical key; max_vertices past ALL_GRAPHS_GUARD is refused.
     """
+    if max_vertices > ALL_GRAPHS_GUARD:
+        raise SizeGuardExceeded(
+            f"catalog guard: all_graphs n={max_vertices} > {ALL_GRAPHS_GUARD}"
+        )
     out = []
     for n in range(1, max_vertices + 1):
         seen = {}

@@ -232,6 +232,8 @@ def generate_up_to(max_k: int) -> list[list[EflConfig]]:
     """generate_all(k) for k = 1..max_k; a max_k past the guard is refused first."""
     if max_k > GENERATE_GUARD:
         raise SizeGuardExceeded(f"config generation guard: k={max_k} > {GENERATE_GUARD}")
+    if max_k < 1:
+        raise ValueError("k must be positive")
     return [generate_all(k) for k in range(1, max_k + 1)]
 
 

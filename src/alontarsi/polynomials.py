@@ -257,53 +257,41 @@ def atn_from_polynomial(
 
 
 def coefficient_of(g: Graph, target) -> int:
-    """Exact coefficient of one monomial, by factor-by-factor descent.
+    """Exact coefficient of one monomial, by a frontier expansion.
 
-    Each factor contributes its exponent bump to one endpoint; branches are
-    pruned when an accumulated exponent passes its target or the factors
-    still ahead cannot fill a vertex's remaining budget.  Total degree is m,
-    so off-degree targets are zero immediately.
+    The product is expanded factor by factor over plain exponent tuples,
+    each factor (u, v) sending a term to its u-bump with +c and its v-bump
+    with -c.  A bump is kept only while both endpoints can still reach their
+    targets with the factors left, and zero coefficients are dropped.  A
+    finished vertex is thus pinned at its target, so the live terms differ
+    only on the unfinished vertices the factors so far touch: the frontier
+    of the edge order.  Raises MemoryGuardExceeded when the live terms pass
+    DEFAULT_TERM_GUARD.  Total degree is m, so off-degree targets are zero
+    immediately.  Shares no code with `expand_capped`, whose certificates
+    it rechecks.
     """
     target = tuple(target)
     if len(target) != g.n:
         raise ValueError("target length must equal the vertex count")
-    if any(t < 0 for t in target):
+    if any(t < 0 for t in target) or sum(target) != g.m:
         return 0
-    m = g.m
-    if sum(target) != m:
-        return 0
-    factors = g.edges
-    acc = [0] * g.n
-    rem = [0] * g.n
-    for u, v in factors:
-        rem[u] += 1
-        rem[v] += 1
-
-    def rec(i: int) -> int:
-        if i == m:
-            return 1
-        u, v = factors[i]
+    rem = list(g.degrees())  # factors not yet multiplied in, per vertex
+    terms = {(0,) * g.n: 1}
+    for u, v in g.edges:
         rem[u] -= 1
         rem[v] -= 1
-        total = 0
-        if (
-            acc[u] < target[u]
-            and target[u] - acc[u] - 1 <= rem[u]
-            and target[v] - acc[v] <= rem[v]
-        ):
-            acc[u] += 1
-            total += rec(i + 1)
-            acc[u] -= 1
-        if (
-            acc[v] < target[v]
-            and target[v] - acc[v] - 1 <= rem[v]
-            and target[u] - acc[u] <= rem[u]
-        ):
-            acc[v] += 1
-            total -= rec(i + 1)
-            acc[v] -= 1
-        rem[u] += 1
-        rem[v] += 1
-        return total
-
-    return rec(0)
+        new: dict[tuple[int, ...], int] = {}
+        for exps, c in terms.items():
+            need_u, need_v = target[u] - exps[u], target[v] - exps[v]
+            if 0 < need_u <= rem[u] + 1 and need_v <= rem[v]:
+                key = exps[:u] + (exps[u] + 1,) + exps[u + 1 :]
+                new[key] = new.get(key, 0) + c
+            if 0 < need_v <= rem[v] + 1 and need_u <= rem[u]:
+                key = exps[:v] + (exps[v] + 1,) + exps[v + 1 :]
+                new[key] = new.get(key, 0) - c
+        terms = {key: c for key, c in new.items() if c}
+        if len(terms) > DEFAULT_TERM_GUARD:
+            raise MemoryGuardExceeded(
+                f"coefficient_of: live terms {len(terms)} exceed guard {DEFAULT_TERM_GUARD}"
+            )
+    return terms.get(target, 0)

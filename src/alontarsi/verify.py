@@ -242,7 +242,7 @@ def _run_thm4(cfg_obj, cfg: dict) -> tuple[dict, dict]:
 
 
 def _run_duality_census(g: Graph, cfg: dict) -> tuple[dict, dict]:
-    even, odd = orientation_census_table(g, max_edges=cfg["max_edges"] + 2)
+    even, odd = orientation_census_table(g)
     poly = full_expansion(g)
     # keys[d] is the packed outdegree vector of orientation d.  Orientation 0
     # points every edge away from u; setting bit e moves one out-arc from u

@@ -3,8 +3,11 @@
 import random
 from collections import Counter
 
+import pytest
+
 from alontarsi import (
     Graph,
+    SizeGuardExceeded,
     all_graphs,
     canonical_key,
     complete_graph,
@@ -16,6 +19,7 @@ from alontarsi import (
     path_graph,
     star_graph,
 )
+from alontarsi.canon import ALL_GRAPHS_GUARD
 
 
 class TestCanonicalKey:
@@ -95,6 +99,10 @@ class TestAllGraphs:
         keys = {canonical_key(g) for g in fam}
         assert canonical_key(Graph(3, [(0, 1)])) in keys
         assert canonical_key(Graph(2, [(0, 1)])) in keys
+
+    def test_guard_refuses_past_six_vertices(self):
+        with pytest.raises(SizeGuardExceeded, match="n=7 > 6"):
+            all_graphs(ALL_GRAPHS_GUARD + 1)
 
 
 class TestEdgeBudgetCatalog:

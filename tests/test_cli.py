@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from alontarsi import (
+    Graph,
+    canon,
     cli,
     complete_bipartite,
     efl,
@@ -176,6 +178,13 @@ class TestEfl:
     def test_generate_guard(self, capsys):
         assert main(["efl", "generate", "-k", "6"]) == 3
 
+    @pytest.mark.parametrize("action", ["generate", "certify"])
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_nonpositive_k_is_bad_input(self, action, k, capsys):
+        assert main(["efl", action, "-k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "k must be positive" in captured.err
+
     def test_certify_k4_skips_only_the_orientation_engine(self, capsys):
         # m = 24 at k = 4 is past the orientation guard; the polynomial
         # engine still decides every configuration
@@ -342,6 +351,28 @@ class TestVerifyGuards:
         cfg = _config_file(tmp_path, {"max_k": 6})
         assert main(["verify", "thm4", "--config", cfg]) == 3
         assert capsys.readouterr().out == ""
+
+    def test_thm4_nonpositive_max_k_is_bad_input(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, {"max_k": 0})
+        assert main(["verify", "thm4", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "k must be positive" in captured.err
+
+    def test_sandwich_catalog_guard_exits_3(self, tmp_path, monkeypatch, capsys):
+        def canonical_key(g):
+            raise AssertionError("enumerated past the catalog guard")
+
+        monkeypatch.setattr(canon, "canonical_key", canonical_key)
+        cfg = _config_file(tmp_path, {"max_n": 7})
+        assert main(["verify", "sandwich", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n=7 > 6" in captured.err
+
+    def test_duality_census_uses_the_table_guard(self):
+        # the table's own guard applies, not one derived from max_edges, so
+        # the empty graph is censused even when max_edges is negative
+        claims, _ = verify._run_duality_census(Graph(0, []), {"max_edges": -3})
+        assert claims == {"census_matches_coefficients": True, "arc_reversal_symmetric": True}
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = _config_file(tmp_path, {"graphz": ["K4"]})

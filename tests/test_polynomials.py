@@ -1,7 +1,7 @@
 """Polynomial engine against brute-force oracles and frozen hand expansions."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -23,6 +23,7 @@ from alontarsi import (
     star_graph,
     total_graph,
 )
+from alontarsi import polynomials
 
 
 def naive_expansion(g):
@@ -235,13 +236,29 @@ class TestCoefficientOf:
         assert coefficient_of(complete_graph(3), (3, 1, 1)) == 0
 
     def test_matches_full_expansion_everywhere(self):
-        for g in [complete_graph(4), cycle_graph(5), star_graph(3)]:
-            naive = naive_expansion(g)
-            for exps, c in naive.items():
-                assert coefficient_of(g, exps) == c
-            assert coefficient_of(g, (g.m,) + (0,) * (g.n - 1)) == naive.get(
-                (g.m,) + (0,) * (g.n - 1), 0
-            )
+        # every term, plus every degree-m target with entries up to one past
+        # the maximum degree (mostly zeros), on every graph with <= 5 vertices
+        for g in all_graphs(5):
+            terms = dict(full_expansion(g).items())
+            targets = {t for t in product(range(g.max_degree() + 2), repeat=g.n) if sum(t) == g.m}
+            targets |= set(terms) | {(g.m,) + (0,) * (g.n - 1)}
+            for t in targets:
+                assert coefficient_of(g, t) == terms.get(t, 0)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            coefficient_of(complete_graph(3), (1, 1))
+
+    def test_guard_counts_live_terms(self, monkeypatch):
+        # the all-2 monomial of K5 cancels; with zeros dropped and every
+        # bump checked against the factors still ahead, at most 8 terms are
+        # ever live at once
+        g = complete_graph(5)
+        monkeypatch.setattr(polynomials, "DEFAULT_TERM_GUARD", 8)
+        assert coefficient_of(g, (2,) * 5) == 0
+        monkeypatch.setattr(polynomials, "DEFAULT_TERM_GUARD", 7)
+        with pytest.raises(MemoryGuardExceeded, match="live terms 8 exceed guard 7"):
+            coefficient_of(g, (2,) * 5)
 
 
 class TestVandermonde:
