@@ -113,10 +113,7 @@ def _cmd_atn(args) -> int:
 
 def _cmd_census(args) -> int:
     g = _read_graph(args.input)
-    value = int(args.bits, 16)
-    if value < 0 or value >= 1 << g.m:
-        raise ValueError(f"bit vector {args.bits} out of range for m={g.m}")
-    orient = Orientation.from_int(g, value)
+    orient = Orientation.from_int(g, int(args.bits, 16))
     census = eulerian_census(orient, max_edges=args.max_edges)
     payload = {
         "even": census.even,

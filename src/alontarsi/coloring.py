@@ -1,6 +1,11 @@
 """Brute-force coloring ground truth: chromatic number, choosability, and
 choice number.
 
+One search decides every coloring question here: proper_coloring_from_lists,
+plain backtracking in vertex order.  chromatic_number hands it the lists
+range(min(k, v + 1)) for increasing k, and is_k_choosable calls it at every
+leaf of its list-assignment enumeration.
+
 Choosability checking is doubly exponential, so the guards here are strict
 and loud.  Two exact reductions keep the interesting cases reachable without
 weakening the oracle:
@@ -30,42 +35,6 @@ CHOOSABLE_N_GUARD = 6
 CHOOSABLE_K_GUARD = 3
 
 
-def _colorable(g: Graph, k: int) -> bool:
-    """Proper k-colorability, lexicographic vertex order, smallest color
-    first, new colors introduced in order."""
-    adj = g.adjacency()
-    color = [-1] * g.n
-
-    def rec(v: int, introduced: int) -> bool:
-        if v == g.n:
-            return True
-        banned = {color[w] for w in adj[v] if color[w] >= 0}
-        for c in range(min(k, introduced + 1)):
-            if c in banned:
-                continue
-            color[v] = c
-            if rec(v + 1, max(introduced, c + 1)):
-                return True
-        color[v] = -1
-        return False
-
-    return rec(0, 0)
-
-
-def chromatic_number(g: Graph, max_n: int = CHROMATIC_GUARD) -> int:
-    """Exact chromatic number by increasing-k backtracking search."""
-    if g.n > max_n:
-        raise SizeGuardExceeded(f"chromatic guard: n={g.n} > {max_n}")
-    if g.n == 0:
-        return 0
-    if g.m == 0:
-        return 1
-    for k in range(2, g.n + 1):
-        if _colorable(g, k):
-            return k
-    raise AssertionError("n colors always suffice")
-
-
 def _k_core(g: Graph, k: int) -> tuple[Graph, list[int]]:
     """Repeatedly delete vertices of degree < k; returns (core, vertex ids)."""
     alive = set(range(g.n))
@@ -88,8 +57,8 @@ def _k_core(g: Graph, k: int) -> tuple[Graph, list[int]]:
 def proper_coloring_from_lists(g: Graph, lists) -> tuple[int, ...] | None:
     """A proper coloring picking each vertex's color from its list, or None.
 
-    Plain backtracking in vertex order; this is the satisfiability check the
-    choosability enumeration calls at every leaf.
+    Plain backtracking in vertex order; chromatic_number calls it once per k,
+    and the choosability enumeration calls it at every leaf.
     """
     adj = g.adjacency()
     chosen = [-1] * g.n
@@ -106,6 +75,22 @@ def proper_coloring_from_lists(g: Graph, lists) -> tuple[int, ...] | None:
         return False
 
     return tuple(chosen) if rec(0) else None
+
+
+def chromatic_number(g: Graph, max_n: int = CHROMATIC_GUARD) -> int:
+    """Exact chromatic number: the least k for which the list search finds a
+    proper coloring with list range(min(k, v + 1)) at vertex v.
+
+    The lists lose no coloring: rename the colors of any proper k-coloring
+    by first appearance in vertex order, and vertex v gets a color <= v.
+    """
+    if g.n > max_n:
+        raise SizeGuardExceeded(f"chromatic guard: n={g.n} > {max_n}")
+    for k in range(g.n + 1):
+        lists = [range(min(k, v + 1)) for v in range(g.n)]
+        if proper_coloring_from_lists(g, lists) is not None:
+            return k
+    raise AssertionError("n colors always suffice")
 
 
 def _candidate_lists(used: int, k: int):

@@ -377,74 +377,33 @@ def chromatic_index_class(
     return ChromaticIndexResult(2, d + 1, None)
 
 
-def _perfect_matchings(n: int, adj: list[set]):
-    """Yield perfect matchings of the graph given by adj, lexicographically.
-
-    Always matches the lowest unmatched vertex, trying partners in increasing
-    order, so matchings appear in lexicographic order of their edge lists.
-    """
-    matched = [False] * n
-    chosen: list[Edge] = []
-
-    def rec(start: int):
-        u = start
-        while u < n and matched[u]:
-            u += 1
-        if u == n:
-            yield tuple(chosen)
-            return
-        matched[u] = True
-        for v in sorted(adj[u]):
-            if not matched[v]:
-                matched[v] = True
-                chosen.append((u, v))
-                yield from rec(u + 1)
-                chosen.pop()
-                matched[v] = False
-        matched[u] = False
-
-    yield from rec(0)
-
-
 def one_factorization(
     g: Graph, max_n: int = FACTORIZATION_GUARD
 ) -> OneFactorization | None:
-    """First one-factorization in lexicographic order, or None if none exists.
+    """A one-factorization read off a Delta-edge-coloring, or None if none exists.
 
-    None is the definitive negative for regular graphs of even order, and is
-    returned immediately for odd order or irregular input.  Backtracks over
-    perfect matchings; removing one from an r-regular graph leaves an
-    (r-1)-regular graph, so the recursion depth is exactly Delta.
+    A Delta-regular graph of even order is one-factorizable exactly when it
+    has a proper Delta-edge-coloring: each color class meets every vertex
+    once, so it is a perfect matching.  The factors are the color classes of
+    edge_coloring, which takes edges in canonical order and introduces colors
+    in order, so each factor is sorted and the factors are ordered by their
+    smallest edge.  None is the definitive negative for regular graphs of
+    even order, and is returned immediately for odd order or irregular input.
+    max_n is the only guard: the edge coloring gets max_edges=g.m, so
+    EDGE_COLOR_GUARD does not refuse K12 or the embedding hosts.
     """
     if g.n > max_n:
         raise SizeGuardExceeded(f"factorization guard: n={g.n} > {max_n}")
     if not g.is_regular() or g.n % 2 == 1:
         return None
     d = g.max_degree()
-    if d == 0:
-        return OneFactorization(())
-    adj = [set(s) for s in g.adjacency()]
-    acc: list[tuple[Edge, ...]] = []
-
-    def rec(level: int) -> bool:
-        if level == d:
-            return True
-        for pm in _perfect_matchings(g.n, adj):
-            for u, v in pm:
-                adj[u].discard(v)
-                adj[v].discard(u)
-            acc.append(pm)
-            if rec(level + 1):
-                return True
-            acc.pop()
-            for u, v in pm:
-                adj[u].add(v)
-                adj[v].add(u)
-        return False
-
-    if rec(0):
-        return OneFactorization(tuple(acc))
-    return None
+    colors = edge_coloring(g, d, max_edges=g.m)
+    if colors is None:
+        return None
+    factors: list[list[Edge]] = [[] for _ in range(d)]
+    for e, c in zip(g.edges, colors):
+        factors[c].append(e)
+    return OneFactorization(tuple(tuple(f) for f in factors))
 
 
 # ---------------------------------------------------------------------------

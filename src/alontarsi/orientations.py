@@ -43,6 +43,10 @@ class Orientation:
 
     @classmethod
     def from_int(cls, graph: Graph, value: int) -> "Orientation":
+        """Bit i of value is edge i's direction; raises ValueError unless
+        0 <= value < 2^m."""
+        if not 0 <= value < 1 << graph.m:
+            raise ValueError(f"bit vector {value:#x} out of range for m={graph.m}")
         return cls(graph, tuple((value >> i) & 1 for i in range(graph.m)))
 
     def to_int(self) -> int:

@@ -20,7 +20,7 @@ from alontarsi import (
     proper_coloring_from_lists,
     star_graph,
 )
-from alontarsi.canon import connected_graphs
+from alontarsi.canon import all_graphs, connected_graphs
 from alontarsi.coloring import brute_force_k_choosable
 
 
@@ -96,6 +96,26 @@ class TestChromaticNumber:
     def test_guard(self):
         with pytest.raises(SizeGuardExceeded):
             chromatic_number(complete_graph(13))
+
+    def test_matches_brute_force_over_vertex_maps(self):
+        # the least k with a proper map V -> range(k), by plain enumeration
+        for g in all_graphs(5):
+            chi = next(
+                k
+                for k in range(g.n + 1)
+                if any(
+                    all(c[u] != c[v] for u, v in g.edges)
+                    for c in product(range(k), repeat=g.n)
+                )
+            )
+            assert chromatic_number(g) == chi, g.edges
+
+    def test_grotzsch_is_4(self):
+        # Mycielskian of C5: triangle-free with chromatic number 4
+        rim = [(i, (i + 1) % 5) for i in range(5)]
+        shadows = [(i + 5, j) for i, j in rim] + [(j + 5, i) for i, j in rim]
+        hub = [(i + 5, 10) for i in range(5)]
+        assert chromatic_number(Graph(11, rim + shadows + hub)) == 4
 
 
 class TestIsKChoosable:

@@ -26,6 +26,7 @@ from alontarsi import (
     to_edge_list_text,
     total_graph,
 )
+from alontarsi.canon import all_graphs
 from alontarsi.graphs import round_robin_factorization
 
 
@@ -326,6 +327,90 @@ class TestOneFactorization:
     def test_guard(self):
         with pytest.raises(SizeGuardExceeded):
             one_factorization(complete_graph(14))
+
+    def test_k12_past_edge_coloring_guard(self):
+        # 66 edges, far past EDGE_COLOR_GUARD; only the vertex guard applies
+        g = complete_graph(12)
+        f = one_factorization(g)
+        assert f is not None and f.validate(g)
+
+
+def brute_perfect_matchings(g):
+    """Every perfect matching of g as a frozenset of edges: match the lowest
+    unmatched vertex with each unmatched neighbour in turn."""
+    adj = g.adjacency()
+    out = []
+
+    def rec(free, chosen):
+        if not free:
+            out.append(frozenset(chosen))
+            return
+        u = min(free)
+        for v in adj[u] & free:
+            rec(free - {u, v}, chosen + [(u, v)])
+
+    rec(frozenset(range(g.n)), [])
+    return out
+
+
+def brute_one_factorizable(g):
+    """Exact cover of E by perfect matchings: the smallest uncovered edge
+    lies in one of the matchings still disjoint from the cover, so try each."""
+    pms = brute_perfect_matchings(g)
+
+    def rec(uncovered, pool):
+        if not uncovered:
+            return True
+        e = min(uncovered)
+        return any(
+            rec(uncovered - pm, [q for q in pool if not q & pm])
+            for pm in pool
+            if e in pm
+        )
+
+    return rec(frozenset(g.edges), pms)
+
+
+def hypercube(d):
+    return Graph(
+        1 << d,
+        [(v, v | 1 << i) for v in range(1 << d) for i in range(d) if not v >> i & 1],
+    )
+
+
+class TestOneFactorizationOracle:
+    """one_factorization against a test-side exact cover that uses neither
+    edge_coloring nor one_factorization."""
+
+    CASES = [g for g in all_graphs(6) if g.is_regular() and g.n % 2 == 0] + [
+        complete_graph(8),
+        complete_bipartite(6, 6),
+        hypercube(3),
+        hypercube(4),
+        petersen_graph(),
+    ]
+
+    @pytest.mark.parametrize(
+        "g", CASES, ids=[f"{g.n}v{g.m}e-{i}" for i, g in enumerate(CASES)]
+    )
+    def test_matches_exact_cover(self, g):
+        f = one_factorization(g, max_n=16)
+        assert (f is not None) == brute_one_factorizable(g)
+        if f is None:
+            return
+        assert f.validate(g)
+        colors = edge_coloring(g, g.max_degree(), max_edges=g.m)
+        classes = {}
+        for e, c in zip(g.edges, colors):
+            classes.setdefault(c, []).append(e)
+        assert f.factors == tuple(tuple(classes[c]) for c in sorted(classes))
+
+    def test_negatives_are_two_triangles_and_petersen(self):
+        negatives = [g for g in self.CASES if not brute_one_factorizable(g)]
+        assert [canonical_key(g) for g in negatives] == [
+            canonical_key(named_graph("2K3")),
+            canonical_key(petersen_graph()),
+        ]
 
 
 class TestChromaticIndex:

@@ -32,6 +32,12 @@ def test_oracle_imports_only_graphs_and_errors(name):
     assert set(imports) <= {"graphs", "errors"}, imports
 
 
+def test_graphs_imports_only_errors():
+    """one_factorization stays on graphs' own edge coloring, and no engine
+    reaches coloring through graphs."""
+    assert set(relative_imports(PACKAGE / "graphs.py")) == {"errors"}
+
+
 def test_only_polynomials_reads_the_key_layout():
     """Packed keys are read and written through SparsePolynomial.pack and
     unpack; no other module touches the field width."""

@@ -139,6 +139,11 @@ class TestOrientationType:
     def test_hex(self):
         assert Orientation.from_int(complete_graph(4), 12).bits_hex() == "0xc"
 
+    @pytest.mark.parametrize("value", [-1, 8, 0xFF])
+    def test_from_int_out_of_range(self, value):
+        with pytest.raises(ValueError):
+            Orientation.from_int(complete_graph(3), value)
+
     def test_bad_bits(self):
         with pytest.raises(ValueError):
             Orientation(complete_graph(3), (0, 1))
