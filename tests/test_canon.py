@@ -2,6 +2,8 @@
 
 import random
 from collections import Counter
+from functools import cache
+from itertools import combinations
 
 import pytest
 
@@ -20,6 +22,22 @@ from alontarsi import (
     star_graph,
 )
 from alontarsi.canon import ALL_GRAPHS_GUARD
+
+
+@cache
+def _graphs_by_edge_subsets(max_n):
+    """all_graphs by a second route: every edge subset on n <= max_n vertices,
+    the first subset per canonical key, ordered by (n, m, key)."""
+    out = []
+    for n in range(1, max_n + 1):
+        seen = {}
+        pairs = list(combinations(range(n), 2))
+        for r in range(len(pairs) + 1):
+            for sub in combinations(pairs, r):
+                g = Graph(n, sub)
+                seen.setdefault(canonical_key(g), g)
+        out.extend(g for _, g in sorted(seen.items(), key=lambda kg: (kg[1].m, kg[0])))
+    return tuple(out)
 
 
 class TestCanonicalKey:
@@ -91,8 +109,15 @@ class TestConnectedCatalog:
 
 class TestAllGraphs:
     def test_counts_by_vertices(self):
-        counts = Counter(g.n for g in all_graphs(5))
-        assert dict(counts) == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
+        # OEIS A000088, through the guard
+        counts = Counter(g.n for g in all_graphs(7))
+        assert dict(counts) == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+
+    def test_matches_edge_subset_enumeration(self):
+        # same representatives in the same order, so the sandwich instances
+        # are pinned edge list for edge list
+        by_growth = [(g.n, g.edges) for g in all_graphs(5)]
+        assert by_growth == [(g.n, g.edges) for g in _graphs_by_edge_subsets(5)]
 
     def test_includes_isolated_vertex_variants(self):
         fam = all_graphs(3)
@@ -100,9 +125,16 @@ class TestAllGraphs:
         assert canonical_key(Graph(3, [(0, 1)])) in keys
         assert canonical_key(Graph(2, [(0, 1)])) in keys
 
-    def test_guard_refuses_past_six_vertices(self):
-        with pytest.raises(SizeGuardExceeded, match="n=7 > 6"):
+    def test_guard_refuses_past_seven_vertices(self):
+        with pytest.raises(SizeGuardExceeded, match="n=8 > 7"):
             all_graphs(ALL_GRAPHS_GUARD + 1)
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_nonpositive_vertex_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="vertex bound must be positive"):
+            all_graphs(bound)
+        with pytest.raises(ValueError, match="vertex bound must be positive"):
+            connected_graphs(3, max_vertices=bound)
 
 
 class TestEdgeBudgetCatalog:
@@ -121,7 +153,7 @@ class TestEdgeBudgetCatalog:
         # independent route: for n <= 5, enumerate all edge subsets directly
         by_subsets = {
             canonical_key(g)
-            for g in all_graphs(5)
+            for g in _graphs_by_edge_subsets(5)
             if 0 not in g.degrees() and g.m <= 8
         }
         by_budget = {
@@ -168,8 +200,8 @@ class TestCountingIdentities:
     def test_all_graphs_by_burnside(self):
         from math import comb, factorial
 
-        fam = all_graphs(5)
-        for n in range(1, 6):
+        fam = all_graphs(6)
+        for n in range(1, 7):
             labeled = sum(
                 factorial(n) // _automorphism_count(g) for g in fam if g.n == n
             )

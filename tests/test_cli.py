@@ -363,10 +363,19 @@ class TestVerifyGuards:
             raise AssertionError("enumerated past the catalog guard")
 
         monkeypatch.setattr(canon, "canonical_key", canonical_key)
-        cfg = _config_file(tmp_path, {"max_n": 7})
+        cfg = _config_file(tmp_path, {"max_n": 8})
         assert main(["verify", "sandwich", "--config", cfg]) == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and "n=7 > 6" in captured.err
+        assert captured.out == "" and "n=8 > 7" in captured.err
+
+    @pytest.mark.parametrize(
+        "campaign, obj", [("sandwich", {"max_n": 0}), ("duality", {"engine_max_n": 0})]
+    )
+    def test_nonpositive_vertex_bound_is_bad_input(self, campaign, obj, tmp_path, capsys):
+        cfg = _config_file(tmp_path, obj)
+        assert main(["verify", campaign, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid input" in captured.err
 
     def test_duality_census_uses_the_table_guard(self):
         # the table's own guard applies, not one derived from max_edges, so
