@@ -228,8 +228,9 @@ def graphs_with_edge_budget(max_edges: int) -> list[Graph]:
         out.append((_union_key(keys), acc))
         for i in range(start, len(comps)):
             key, part = comps[i]
-            if part.m <= budget:
-                rec(i, budget - part.m, disjoint_union(acc, part), keys + [key])
+            if part.m > budget:
+                break  # comps is sorted by m, so no later component fits
+            rec(i, budget - part.m, disjoint_union(acc, part), keys + [key])
 
     rec(0, max_edges, Graph(0, []), [])
     out.sort(key=lambda kg: (kg[1].m, kg[1].n, kg[0]))

@@ -16,6 +16,8 @@ Eulerian subdigraphs of one one-to-one onto those of the other, changing
 parity by |F|.  So |even - odd| depends only on the outdegree vector, and
 the search runs one census per vector.  tests/test_orientations.py checks
 the lemma on every orientation of every graph with at most 8 edges.
+orientation_census_table censuses all orientations at once under the same
+prune rule as eulerian_census, in a recursion that shares no code with it.
 """
 
 from __future__ import annotations
@@ -218,93 +220,49 @@ def orientation_census_table(
     """Eulerian censuses of every orientation at once: (even, odd) tables
     indexed by the orientation's bit-vector integer.
 
-    Works from circulations instead of orientations: a balanced arc subset
-    needs even undirected degree everywhere, so candidate supports are
-    exactly the cycle space.  Each balanced direction assignment d on support
-    S is Eulerian in every orientation agreeing with d on S, and those are
-    spread to the tables by supermask enumeration.  Used by the bulk duality
-    campaign; eulerian_census is the per-orientation reference it is tested
-    against.
+    One recursion over the edges in canonical order leaves each edge out or
+    puts it in as u->v (bit 0) or v->u (bit 1).  bal tracks out minus in, and
+    a branch dies as soon as some vertex's imbalance exceeds its count of
+    undecided edges.  So a leaf is a balanced arc set with support s and
+    directions d on s, Eulerian in every orientation d | t with t inside ~s,
+    and counted there in the table of parity |s|.  eulerian_census is the
+    reference it is tested against.
     """
     m = g.m
     if m > max_edges:
         raise SizeGuardExceeded(f"census table guard: m={m} > {max_edges}")
-    n = g.n
+    steps = [(u, v, 1 << i) for i, (u, v) in enumerate(g.edges)]
     full = (1 << m) - 1
-    inc = [0] * n
-    low = [0] * n  # edges where the vertex is the smaller endpoint
-    high = [0] * n
-    for e, (u, v) in enumerate(g.edges):
-        inc[u] |= 1 << e
-        inc[v] |= 1 << e
-        low[u] |= 1 << e
-        high[v] |= 1 << e
-
-    # cycle space basis from a spanning forest
-    parent = {}
-    parent_edge = {}
-    adj = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(g.edges):
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    tree_edges = set()
-    for root in range(n):
-        if root in parent:
-            continue
-        parent[root] = root
-        parent_edge[root] = -1
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y, e in adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    parent_edge[y] = e
-                    tree_edges.add(e)
-                    stack.append(y)
-
-    def path_to_root_mask(x: int) -> int:
-        mask = 0
-        while parent[x] != x:
-            mask ^= 1 << parent_edge[x]
-            x = parent[x]
-        return mask
-
-    basis = []
-    for e, (u, v) in enumerate(g.edges):
-        if e in tree_edges:
-            continue
-        basis.append((1 << e) ^ path_to_root_mask(u) ^ path_to_root_mask(v))
-
-    supports = [0]
-    for b in basis:
-        supports.extend([s ^ b for s in supports])
-
+    rem = [sum(x in e for e in g.edges) for x in range(g.n)]  # undecided edges at x
+    bal = [0] * g.n
     even = [0] * (1 << m)
     odd = [0] * (1 << m)
-    for s in supports:
-        verts = [v for v in range(n) if inc[v] & s]
-        halves = [(inc[v] & s).bit_count() // 2 for v in verts]
-        parity = s.bit_count() & 1
-        table = odd if parity else even
-        comp = full & ~s
-        # enumerate direction assignments d on the support
-        d = s
-        while True:
-            balanced = True
-            for v, half in zip(verts, halves):
-                flow = ((~d & low[v]) | (d & high[v])) & s
-                if flow.bit_count() != half:
-                    balanced = False
+
+    def rec(i: int, s: int, d: int):
+        if i == m:
+            table = odd if s.bit_count() & 1 else even
+            comp = full & ~s
+            t = comp
+            while True:
+                table[d | t] += 1
+                if t == 0:
                     break
-            if balanced:
-                t = comp
-                while True:
-                    table[d | t] += 1
-                    if t == 0:
-                        break
-                    t = (t - 1) & comp
-            if d == 0:
-                break
-            d = (d - 1) & s
+                t = (t - 1) & comp
+            return
+        u, v, bit = steps[i]
+        ru = rem[u] = rem[u] - 1
+        rv = rem[v] = rem[v] - 1
+        bu, bv = bal[u], bal[v]
+        if -ru <= bu <= ru and -rv <= bv <= rv:
+            rec(i + 1, s, d)
+        if -ru <= bu + 1 <= ru and -rv <= bv - 1 <= rv:
+            bal[u], bal[v] = bu + 1, bv - 1
+            rec(i + 1, s | bit, d)
+        if -ru <= bu - 1 <= ru and -rv <= bv + 1 <= rv:
+            bal[u], bal[v] = bu - 1, bv + 1
+            rec(i + 1, s | bit, d | bit)
+        bal[u], bal[v] = bu, bv
+        rem[u], rem[v] = ru + 1, rv + 1
+
+    rec(0, 0, 0)
     return even, odd

@@ -51,3 +51,21 @@ def test_only_polynomials_reads_the_key_layout():
         )
     ]
     assert readers == []
+
+
+def names_in_function(path: Path, function: str) -> set[str]:
+    """Identifiers and attribute names used in the body of a top-level function."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_census_table_shares_no_code_with_the_census():
+    """The table is cross-checked against eulerian_census, so neither may call
+    the other, nor the orientation search built on the census."""
+    path = PACKAGE / "orientations.py"
+    table = names_in_function(path, "orientation_census_table")
+    assert not table & {"eulerian_census", "atn_from_orientations"}, table
+    assert "orientation_census_table" not in names_in_function(path, "eulerian_census")

@@ -298,7 +298,7 @@ class TestDuality:
 
 
 class TestCensusTable:
-    @pytest.mark.parametrize("max_edges", [5])
+    @pytest.mark.parametrize("max_edges", [7])
     def test_matches_recursive_census_exhaustively(self, max_edges):
         for g in graphs_with_edge_budget(max_edges):
             even, odd = orientation_census_table(g)
@@ -318,9 +318,28 @@ class TestCensusTable:
                     even[full ^ value] - odd[full ^ value]
                 )
 
+    @pytest.mark.parametrize("name", ["Petersen", "K3,5", "K4,4"])
+    def test_large_graphs_on_seeded_orientations(self, name):
+        g = named_graph(name)
+        even, odd = orientation_census_table(g)
+        rng = random.Random(12)
+        for _ in range(64):
+            orient = Orientation.from_int(g, rng.getrandbits(g.m))
+            value = orient.to_int()
+            census = eulerian_census(orient)
+            assert (census.even, census.odd) == (even[value], odd[value]), value
+            coeff = coefficient_of(g, orient.outdegrees())
+            assert abs(even[value] - odd[value]) == abs(coeff), value
+
     def test_guard(self):
         with pytest.raises(SizeGuardExceeded):
             orientation_census_table(complete_graph(7), max_edges=10)
+
+    def test_guard_boundary_at_default(self):
+        """A tree has only the empty Eulerian subdigraph, in every orientation."""
+        assert orientation_census_table(path_graph(17)) == ([1] * (1 << 16), [0] * (1 << 16))
+        with pytest.raises(SizeGuardExceeded):
+            orientation_census_table(path_graph(18))
 
 
 class TestEngineAgreement:
