@@ -1,9 +1,10 @@
 """Running the verification campaigns from Python.
 
-Each campaign enumerates an instance family from its bundled JSON config,
-runs every claim, and yields one report per instance.  The same campaigns
-back the acceptance suite and the `alontarsi verify` subcommand; the heavier
-families (duality at m <= 8, the n <= 5 sandwich) take a few seconds each.
+Each campaign enumerates an instance family from its default config (one
+registry entry in alontarsi.verify), runs every claim, and yields one report
+per instance.  The same campaigns back the acceptance suite and the
+`alontarsi verify` subcommand; the heavier families (duality at m <= 8, the
+n <= 5 sandwich) take a few seconds each.
 """
 
 import time

@@ -18,6 +18,9 @@ from .graphs import Graph, disjoint_union
 
 # all_graphs grows its 1,252 graphs in about 3 s at n = 7; it refuses n past this
 ALL_GRAPHS_GUARD = 7
+# a grown catalog refuses to keep more graphs than this; each extra edge of
+# connected_graphs multiplies its count by about 3.3 and its time by about 5
+CATALOG_GUARD = 5000
 
 
 def _invariants(adj: list[frozenset]) -> list[tuple]:
@@ -147,12 +150,15 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _grown_catalog(start: Graph, max_edges: int, key, max_vertices) -> list[tuple[tuple, Graph]]:
+def _grown_catalog(
+    name: str, start: Graph, max_edges: int, key, max_vertices
+) -> list[tuple[tuple, Graph]]:
     """Graphs grown from start by up to max_edges one-edge moves, one per key.
 
     A move joins two non-adjacent vertices or, below max_vertices vertices,
     attaches a pendant vertex.  Growth goes level by level and keeps the
     first graph found per key; pairs come back sorted by (m, n, key).
+    Keeping more than CATALOG_GUARD graphs raises SizeGuardExceeded.
     """
     seen = {key(start): start}
     level = [start]
@@ -169,13 +175,20 @@ def _grown_catalog(start: Graph, max_edges: int, key, max_vertices) -> list[tupl
                 if k not in seen:
                     seen[k] = h
                     nxt.append(h)
+                    if len(seen) > CATALOG_GUARD:
+                        raise SizeGuardExceeded(
+                            f"catalog guard: {len(seen)} {name} > {CATALOG_GUARD}"
+                            f" at max_edges={max_edges}"
+                        )
         level = nxt
     return sorted(seen.items(), key=lambda kg: (kg[1].m, kg[1].n, kg[0]))
 
 
 def _connected_catalog(max_edges: int, max_vertices=None) -> list[tuple[tuple, Graph]]:
     """connected_graphs' graphs paired with their connected keys."""
-    return _grown_catalog(Graph(1, []), max_edges, _connected_key, max_vertices)
+    return _grown_catalog(
+        "connected graphs", Graph(1, []), max_edges, _connected_key, max_vertices
+    )
 
 
 def connected_graphs(max_edges: int, max_vertices: int | None = None) -> list[Graph]:
@@ -207,7 +220,9 @@ def all_graphs(max_vertices: int) -> list[Graph]:
     return [
         g
         for n in range(1, max_vertices + 1)
-        for _, g in _grown_catalog(Graph(n, []), n * (n - 1) // 2, canonical_key, n)
+        for _, g in _grown_catalog(
+            f"graphs on {n} vertices", Graph(n, []), n * (n - 1) // 2, canonical_key, n
+        )
     ]
 
 

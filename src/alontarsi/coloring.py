@@ -37,21 +37,13 @@ CHOOSABLE_K_GUARD = 3
 
 def _k_core(g: Graph, k: int) -> tuple[Graph, list[int]]:
     """Repeatedly delete vertices of degree < k; returns (core, vertex ids)."""
-    alive = set(range(g.n))
-    adj = [set(s) for s in g.adjacency()]
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            if len(adj[v]) < k:
-                alive.discard(v)
-                for w in adj[v]:
-                    adj[w].discard(v)
-                adj[v] = set()
-                changed = True
-    keep = sorted(alive)
-    core, _ = g.induced(keep)
-    return core, keep
+    keep = list(range(g.n))
+    while True:
+        core, _ = g.induced(keep)
+        low = {keep[v] for v, d in enumerate(core.degrees()) if d < k}
+        if not low:
+            return core, keep
+        keep = [v for v in keep if v not in low]
 
 
 def proper_coloring_from_lists(g: Graph, lists) -> tuple[int, ...] | None:

@@ -6,19 +6,19 @@ A report is a plain dict: campaign, instance id, claims (each True, False, or
 and wall time.  A campaign passes when no claim is False; a guarded skip is
 reported, never silently dropped, and never counted as a pass of anything.
 
-Campaign instance families live in JSON config files under campaigns/, so
-acceptance runs are reproducible and extensible without code edits.  Reports
-are JSON-lines with sorted keys: byte-identical across runs except for the
-wall-time field.  Adding a campaign means one entry in _REGISTRY plus its
-JSON file.
+Each campaign is one entry in _REGISTRY: its default config and the builder
+of its instance family.  Defaults that are guards name the module constant
+they come from, so a guard is written once.  Reports are JSON-lines with
+sorted keys: byte-identical across runs except for the wall-time field.
+Adding a campaign means one registry entry.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import time
-from importlib import resources
 
 from .canon import all_graphs, connected_graphs, graphs_with_edge_budget
 from .coloring import (
@@ -30,6 +30,7 @@ from .coloring import (
 from .efl import generate_up_to, theorem4_certify
 from .errors import MemoryGuardExceeded, SizeGuardExceeded
 from .graphs import (
+    FACTORIZATION_GUARD,
     Graph,
     chromatic_index_class,
     class2_augment,
@@ -168,6 +169,11 @@ def _run_thm1(gname: str, cfg: dict) -> tuple[dict, dict]:
     return claims, values
 
 
+# thm2 checks the embedding and augmentation constructions on graphs this small
+EMBED_MAX_N = 5
+EMBED_MAX_EDGES = 6
+
+
 def _run_thm2(g: Graph, cfg: dict) -> tuple[dict, dict]:
     claims: dict = {}
     values: dict = {"graph": _graph_descriptor(g)}
@@ -181,7 +187,7 @@ def _run_thm2(g: Graph, cfg: dict) -> tuple[dict, dict]:
     claims["atn_line_le_delta_plus_1"] = atn <= d + 1
     if cls.class_number == 1:
         claims["class1_atn_line_equals_delta"] = atn == d
-    in_embed_family = g.n <= cfg["embed_max_n"] and g.m <= cfg["embed_max_edges"]
+    in_embed_family = g.n <= EMBED_MAX_N and g.m <= EMBED_MAX_EDGES
     if in_embed_family and cls.class_number == 1:
         host, emb = regular_embed_class1(g)
         values["host"] = {"n": host.n, "m": host.m}
@@ -301,11 +307,17 @@ def _run_duality_engines(g: Graph, cfg: dict) -> tuple[dict, dict]:
     return claims, values
 
 
+# duality evaluates each polynomial at this many seeded points, on graphs with
+# at most EVAL_MAX_EDGES edges
+EVAL_POINTS = 100
+EVAL_MAX_EDGES = 10
+
+
 def _run_duality_eval(g: Graph, idx: int, cfg: dict) -> tuple[dict, dict]:
     rng = random.Random(cfg["seed"] * 1_000_003 + idx)
     poly = full_expansion(g)
     points_ok = True
-    for _ in range(cfg["eval_points"]):
+    for _ in range(EVAL_POINTS):
         point = [rng.randint(-50, 50) for _ in range(g.n)]
         direct = 1
         for u, v in g.edges:
@@ -318,7 +330,7 @@ def _run_duality_eval(g: Graph, idx: int, cfg: dict) -> tuple[dict, dict]:
         "evaluation_matches_edge_product": points_ok,
         "vanishes_at_equal_values": diag_ok,
     }
-    values = {"graph": _graph_descriptor(g), "points": cfg["eval_points"]}
+    values = {"graph": _graph_descriptor(g), "points": EVAL_POINTS}
     return claims, values
 
 
@@ -388,7 +400,7 @@ def _duality_instances(cfg: dict) -> list[tuple[str, tuple]]:
     evals = [
         (f"duality/eval/{i:03d}-{g.n}v{g.m}e", (_run_duality_eval, g, i))
         for i, g in enumerate(conn)
-        if g.m <= cfg["eval_max_edges"]
+        if g.m <= EVAL_MAX_EDGES
     ]
     return (
         _graph_family("duality/census", _run_duality_census, census, digits=4)
@@ -397,22 +409,42 @@ def _duality_instances(cfg: dict) -> list[tuple[str, tuple]]:
     )
 
 
-# Campaign name -> config -> [(instance id, payload)].  A payload is a
-# module-level worker plus its arguments, so it pickles for --jobs.  Entries
-# call catalogs and engines by module global, which the bench tracer rebinds.
+# Campaign name -> (default config, builder), where a builder maps a config
+# to [(instance id, payload)].  A payload is a module-level worker plus its
+# arguments, so it pickles for --jobs.  Builders call catalogs and engines by
+# module global, which the bench tracer rebinds.
 _REGISTRY = {
-    "thm1": lambda cfg: _named_graphs("thm1", _run_thm1, cfg),
-    "thm2": lambda cfg: _graph_family(
-        "thm2", _run_thm2, [g for g in connected_graphs(cfg["max_edges"]) if g.m >= 1]
+    "thm1": (
+        {
+            "graphs": ["2K2", "C4", "K4"],
+            "factorization_max_n": FACTORIZATION_GUARD,
+            "orientation_max_edges": CENSUS_GUARD,
+        },
+        lambda cfg: _named_graphs("thm1", _run_thm1, cfg),
     ),
-    "cor3": lambda cfg: _named_graphs("cor3", _run_cor3, cfg),
-    "thm4": lambda cfg: [
-        (f"thm4/k{k}-{j:03d}", (_run_thm4, c))
-        for k, configs in enumerate(generate_up_to(cfg["max_k"]), 1)
-        for j, c in enumerate(configs)
-    ],
-    "duality": _duality_instances,
-    "sandwich": lambda cfg: _graph_family("sandwich", _run_sandwich, all_graphs(cfg["max_n"])),
+    "thm2": (
+        {"max_edges": 6, "host_factorization_max_n": 24},
+        lambda cfg: _graph_family(
+            "thm2", _run_thm2, [g for g in connected_graphs(cfg["max_edges"]) if g.m >= 1]
+        ),
+    ),
+    "cor3": (
+        {"graphs": ["K2", "P3", "P4", "K3", "C4", "K1,3"], "max_terms": DEFAULT_TERM_GUARD},
+        lambda cfg: _named_graphs("cor3", _run_cor3, cfg),
+    ),
+    "thm4": (
+        {"max_k": 3},
+        lambda cfg: [
+            (f"thm4/k{k}-{j:03d}", (_run_thm4, c))
+            for k, configs in enumerate(generate_up_to(cfg["max_k"]), 1)
+            for j, c in enumerate(configs)
+        ],
+    ),
+    "duality": ({"max_edges": 8, "engine_max_n": 5, "seed": 0}, _duality_instances),
+    "sandwich": (
+        {"max_n": 5, "choosable_max_n": CHOOSABLE_N_GUARD, "choosable_max_k": 4},
+        lambda cfg: _graph_family("sandwich", _run_sandwich, all_graphs(cfg["max_n"])),
+    ),
 }
 
 CAMPAIGNS = tuple(_REGISTRY)
@@ -421,12 +453,11 @@ CAMPAIGNS = tuple(_REGISTRY)
 def default_config(name: str) -> dict:
     if name not in _REGISTRY:
         raise ValueError(f"unknown campaign {name!r}; choose from {CAMPAIGNS}")
-    path = resources.files("alontarsi") / "campaigns" / f"{name}.json"
-    return json.loads(path.read_text())
+    return copy.deepcopy(_REGISTRY[name][0])
 
 
 def campaign_instances(name: str, cfg: dict) -> list[tuple[str, tuple]]:
-    return _REGISTRY[name](cfg)
+    return _REGISTRY[name][1](cfg)
 
 
 def run_instance(name: str, iid: str, payload: tuple, cfg: dict) -> dict:
@@ -474,8 +505,8 @@ def run_campaign(
 
     sink, when given, receives each report dict as it completes (in order),
     which is how the CLI streams JSON-lines.  Overrides must name keys of
-    the campaign's JSON defaults, with values typed like them; None leaves a
-    key at its default.
+    the campaign's defaults, with values typed like them; None leaves a key
+    at its default.
     """
     cfg = default_config(name)
     overrides = overrides or {}

@@ -276,6 +276,33 @@ class TestVerify:
         assert main(["verify", "thm4", "--seed", "1", "--max-edges", "3"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 8
 
+    @pytest.mark.parametrize(
+        "campaign, expected",
+        [
+            (
+                "thm1",
+                {
+                    "graphs": ["2K2", "C4", "K4"],
+                    "factorization_max_n": 12,
+                    "orientation_max_edges": 22,
+                },
+            ),
+            ("thm2", {"max_edges": 6, "host_factorization_max_n": 24}),
+            ("cor3", {"graphs": ["K2", "P3", "P4", "K3", "C4", "K1,3"], "max_terms": 10000000}),
+            ("thm4", {"max_k": 3}),
+            ("duality", {"max_edges": 8, "engine_max_n": 5, "seed": 0}),
+            ("sandwich", {"max_n": 5, "choosable_max_n": 6, "choosable_max_k": 4}),
+        ],
+    )
+    def test_default_config(self, campaign, expected):
+        cfg = verify.default_config(campaign)
+        assert list(cfg.items()) == list(expected.items())
+        # a caller's edits do not reach the registry
+        for value in cfg.values():
+            if isinstance(value, list):
+                value.append("X")
+        assert list(verify.default_config(campaign).items()) == list(expected.items())
+
 
 def _config_file(tmp_path, obj):
     path = tmp_path / "cfg.json"
@@ -368,6 +395,13 @@ class TestVerifyGuards:
         captured = capsys.readouterr()
         assert captured.out == "" and "n=8 > 7" in captured.err
 
+    def test_connected_catalog_guard_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(canon, "CATALOG_GUARD", 20)
+        assert main(["verify", "thm2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "catalog guard: 21 connected graphs > 20 at max_edges=6" in captured.err
+
     @pytest.mark.parametrize(
         "campaign, obj", [("sandwich", {"max_n": 0}), ("duality", {"engine_max_n": 0})]
     )
@@ -384,11 +418,19 @@ class TestVerifyGuards:
         assert claims == {"census_matches_coefficients": True, "arc_reversal_symmetric": True}
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        cfg = _config_file(tmp_path, {"graphz": ["K4"]})
-        assert main(["verify", "thm1", "--config", cfg]) == 2
-        assert capsys.readouterr().out == ""
-        with pytest.raises(ValueError, match="graphz"):
-            run_campaign("thm1", overrides={"graphz": ["K4"]})
+        # the last four were config keys before they became constants in verify
+        for campaign, key, value in [
+            ("thm1", "graphz", ["K4"]),
+            ("thm2", "embed_max_n", 5),
+            ("thm2", "embed_max_edges", 6),
+            ("duality", "eval_points", 100),
+            ("duality", "eval_max_edges", 10),
+        ]:
+            cfg = _config_file(tmp_path, {key: value})
+            assert main(["verify", campaign, "--config", cfg]) == 2
+            assert capsys.readouterr().out == ""
+            with pytest.raises(ValueError, match=key):
+                run_campaign(campaign, overrides={key: value})
 
     @pytest.mark.parametrize(
         "campaign, obj",
@@ -410,15 +452,6 @@ class TestVerifyGuards:
         cfg = _config_file(tmp_path, {"graphs": None})
         assert main(["verify", "thm1", "--config", cfg]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
-
-    def test_registry_matches_config_files(self):
-        from importlib import resources
-
-        from alontarsi.verify import CAMPAIGNS
-
-        files = resources.files("alontarsi") / "campaigns"
-        stems = {p.name[: -len(".json")] for p in files.iterdir() if p.name.endswith(".json")}
-        assert set(CAMPAIGNS) == stems
 
     @pytest.mark.parametrize("jobs", ["3", "0", "-3"])
     def test_jobs_out_of_range_rejected(self, jobs, monkeypatch, capsys):
