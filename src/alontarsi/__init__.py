@@ -38,17 +38,13 @@ from .efl import (
 )
 from .errors import InvalidConfig, MemoryGuardExceeded, SizeGuardExceeded
 from .graphs import (
-    ChromaticIndexResult,
     Graph,
     OneFactorization,
-    VertexRole,
-    VertexRoleMap,
     chromatic_index_class,
     class2_augment,
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    disjoint_double,
     disjoint_union,
     edge_coloring,
     line_graph,

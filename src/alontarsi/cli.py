@@ -17,7 +17,7 @@ from .efl import EflConfig, build_graph, generate_all, generate_up_to, theorem4_
 from .errors import InvalidConfig, MemoryGuardExceeded, SizeGuardExceeded
 from .graphs import (
     class2_augment,
-    disjoint_double,
+    disjoint_union,
     line_graph,
     parse_edge_list_text,
     regular_embed_class1,
@@ -53,34 +53,34 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
+_CONSTRUCTIONS = {
+    "line": line_graph,
+    "subdivision": subdivision_graph,
+    "total": total_graph,
+    "double": lambda g: disjoint_union(g, g),
+    "embed": regular_embed_class1,
+    "augment": lambda g: class2_augment(g)[0],
+}
+
+_CONSTRUCT_NUMBERING = """vertex numbering, for an input on vertices 0..n-1 whose edge i is the
+i-th edge in sorted order:
+  line         vertex i is edge i
+  subdivision  vertices 0..n-1 are the input's; vertex n+i subdivides edge i
+  total        as subdivision
+  double       copy one on 0..n-1, copy two on n..2n-1
+  embed        copy j of vertex v is j*n+v; the input is induced on 0..n-1
+  augment      the input on 0..n-1; the pendant vertex is n
+  efl          the vertex ids of the configuration's cliques
+"""
+
+
 def _cmd_construct(args) -> int:
-    aux = None
     if args.kind == "efl":
         with open(args.input, encoding="utf-8") as fh:
-            cfg = EflConfig.from_json(fh.read())
-        out = build_graph(cfg)
+            out = build_graph(EflConfig.from_json(fh.read()))
     else:
-        g = _read_graph(args.input)
-        if args.kind == "line":
-            out, mapping = line_graph(g)
-            aux = {"edge_to_vertex": [[list(e), i] for e, i in mapping.items()]}
-        elif args.kind == "subdivision":
-            out, roles = subdivision_graph(g)
-            aux = {"roles": roles.to_json_obj()}
-        elif args.kind == "total":
-            out, roles = total_graph(g)
-            aux = {"roles": roles.to_json_obj()}
-        elif args.kind == "double":
-            out = disjoint_double(g)
-        elif args.kind == "embed":
-            out, emb = regular_embed_class1(g)
-            aux = {"embedding": [[v, w] for v, w in sorted(emb.items())]}
-        else:  # augment
-            out, attach = class2_augment(g)
-            aux = {"attachment": attach}
+        out = _CONSTRUCTIONS[args.kind](_read_graph(args.input))
     _write_text(args.output, to_edge_list_text(out))
-    if args.map:
-        _write_text(args.map, json.dumps(aux, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -205,14 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="build a derived graph and write its edge list")
-    p.add_argument(
-        "kind",
-        choices=["line", "subdivision", "total", "double", "embed", "augment", "efl"],
+    p = sub.add_parser(
+        "construct",
+        help="build a derived graph and write its edge list",
+        epilog=_CONSTRUCT_NUMBERING,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    p.add_argument("kind", choices=[*_CONSTRUCTIONS, "efl"])
     p.add_argument("input", help="edge-list file (or JSON config for 'efl')")
     p.add_argument("-o", "--output", default=None, help="output edge list (default stdout)")
-    p.add_argument("--map", default=None, help="write role/embedding map JSON here")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("atn", help="compute the Alon-Tarsi number with a certificate")

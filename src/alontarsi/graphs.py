@@ -122,33 +122,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class VertexRole:
-    """Provenance of one vertex in a subdivision or total graph."""
-
-    vertex: int
-    role: str  # "original" | "edge"
-    source: int | Edge
-
-    def to_json_obj(self):
-        src = self.source if self.role == "original" else list(self.source)
-        return {"vertex": self.vertex, "role": self.role, "source": src}
-
-
-@dataclass(frozen=True)
-class VertexRoleMap:
-    roles: tuple[VertexRole, ...]
-
-    def originals(self) -> tuple[int, ...]:
-        return tuple(r.vertex for r in self.roles if r.role == "original")
-
-    def edge_vertices(self) -> tuple[int, ...]:
-        return tuple(r.vertex for r in self.roles if r.role == "edge")
-
-    def to_json_obj(self):
-        return [r.to_json_obj() for r in self.roles]
-
-
-@dataclass(frozen=True)
 class OneFactorization:
     """Partition of a regular graph's edges into perfect matchings."""
 
@@ -171,26 +144,17 @@ class OneFactorization:
         return len(seen) == graph.m
 
 
-@dataclass(frozen=True)
-class ChromaticIndexResult:
-    class_number: int  # 1 if chi' = Delta, else 2 (Vizing)
-    chromatic_index: int
-    coloring: tuple[int, ...] | None  # per-edge colors witnessing chi'
-
-
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
 
 
-def line_graph(g: Graph) -> tuple[Graph, dict[Edge, int]]:
-    """Line graph of g plus the bijection edge-of-g -> vertex index.
+def line_graph(g: Graph) -> Graph:
+    """Line graph of g: vertex i is g.edges[i].
 
-    Vertices of the result are g's edges in canonical order; two are adjacent
-    exactly when the edges share an endpoint.
+    Two vertices are adjacent exactly when the edges share an endpoint.
     """
     edges_of_g = g.edges
-    index = {e: i for i, e in enumerate(edges_of_g)}
     out = []
     for i in range(len(edges_of_g)):
         a, b = edges_of_g[i]
@@ -198,49 +162,40 @@ def line_graph(g: Graph) -> tuple[Graph, dict[Edge, int]]:
             c, d = edges_of_g[j]
             if a == c or a == d or b == c or b == d:
                 out.append((i, j))
-    return Graph(len(edges_of_g), out), index
+    return Graph(len(edges_of_g), out)
 
 
-def subdivision_graph(g: Graph) -> tuple[Graph, VertexRoleMap]:
+def subdivision_graph(g: Graph) -> Graph:
     """Replace every edge of g with a path of length two through a new vertex.
 
-    Originals keep their ids 0..n-1; the edge-vertex for the i-th canonical
-    edge is n+i.  The result is bipartite with every edge-vertex of degree 2.
+    Vertices 0..n-1 are g's vertices; vertex n+i is the edge-vertex of
+    g.edges[i].  The result is bipartite with every edge-vertex of degree 2.
     """
     n = g.n
     out = []
-    roles = [VertexRole(v, "original", v) for v in range(n)]
     for i, (u, v) in enumerate(g.edges):
-        w = n + i
-        out.append((u, w))
-        out.append((v, w))
-        roles.append(VertexRole(w, "edge", (u, v)))
-    return Graph(n + g.m, out), VertexRoleMap(tuple(roles))
+        out.append((u, n + i))
+        out.append((v, n + i))
+    return Graph(n + g.m, out)
 
 
-def total_graph(g: Graph) -> tuple[Graph, VertexRoleMap]:
-    """Square of the subdivision graph, on the same vertex ids.
+def total_graph(g: Graph) -> Graph:
+    """Square of the subdivision graph, numbered as subdivision_graph.
 
-    Restricted to originals it is g; restricted to edge-vertices it is the
-    line graph; the cross edges are exactly the subdivision's edges.
+    Induced on 0..n-1 it is g; induced on n..n+m-1 it is the line graph;
+    the cross edges are exactly the subdivision's edges.
     """
-    s, roles = subdivision_graph(g)
     n = g.n
-    out = list(s.edges)
+    out = list(subdivision_graph(g).edges)
     out.extend(g.edges)
-    lg, _ = line_graph(g)
-    out.extend((n + a, n + b) for a, b in lg.edges)
-    return Graph(n + g.m, out), roles
+    out.extend((n + a, n + b) for a, b in line_graph(g).edges)
+    return Graph(n + g.m, out)
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
+    """a on 0..a.n-1, then b shifted to a.n..a.n+b.n-1."""
     shifted = [(a.n + u, a.n + v) for u, v in b.edges]
     return Graph(a.n + b.n, list(a.edges) + shifted)
-
-
-def disjoint_double(g: Graph) -> Graph:
-    """Two disjoint copies of g; vertex i of the second copy is n+i."""
-    return disjoint_union(g, g)
 
 
 def round_robin_factorization(c: int) -> list[list[Edge]]:
@@ -262,17 +217,15 @@ def round_robin_factorization(c: int) -> list[list[Edge]]:
     return factors
 
 
-def regular_embed_class1(
-    g: Graph, max_edges: int = EDGE_COLOR_GUARD
-) -> tuple[Graph, dict[int, int]]:
-    """Embed a class-1 graph into a Delta-regular host, plus the embedding map.
+def regular_embed_class1(g: Graph, max_edges: int = EDGE_COLOR_GUARD) -> Graph:
+    """A Delta-regular host holding the class-1 graph g on vertices 0..n-1.
 
     Takes c disjoint copies of g (c = Delta, or Delta+1 if Delta is odd, so c
-    is even) and repairs every deficient vertex with cross edges: vertex v
-    with deficiency d gets, across its c copies, the first d factors of the
-    round-robin one-factorization of the copy-index set.  Each copy of v gains
-    exactly d edges, so the host is Delta-regular, and g sits inside as the
-    induced subgraph on copy 0.
+    is even), copy j on j*n..j*n+n-1, and repairs every deficient vertex with
+    cross edges: vertex v with deficiency d gets, across its c copies, the
+    first d factors of the round-robin one-factorization of the copy-index
+    set.  Each copy of v gains exactly d edges, so the host is Delta-regular,
+    and g is the induced subgraph on copy 0.
     """
     degs = g.degrees()
     d = g.max_degree()
@@ -280,8 +233,7 @@ def regular_embed_class1(
         raise ValueError("need at least one edge")
     if 0 in degs:
         raise ValueError("isolated vertices cannot be repaired to degree Delta")
-    cls = chromatic_index_class(g, max_edges=max_edges)
-    if cls.class_number != 1:
+    if chromatic_index_class(g, max_edges=max_edges) != 1:
         raise ValueError("input must be class 1")
     c = d if d % 2 == 0 else d + 1
     n = g.n
@@ -293,22 +245,20 @@ def regular_embed_class1(
         need = d - degs[v]
         for factor in factors[:need]:
             out.extend((a * n + v, b * n + v) for a, b in factor)
-    host = Graph(c * n, out)
-    embedding = {v: v for v in range(n)}
-    return host, embedding
+    return Graph(c * n, out)
 
 
 def class2_augment(
     g: Graph, max_edges: int = EDGE_COLOR_GUARD
 ) -> tuple[Graph, int]:
-    """Attach a pendant vertex to a maximum-degree vertex of a class-2 graph.
+    """Attach a pendant vertex n to a maximum-degree vertex of a class-2 graph,
+    and return the result with that attachment point.
 
     The attachment point is the smallest-index vertex of degree Delta, which
     forces the result to have maximum degree Delta+1; a (Delta+1)-edge-coloring
     of g leaves a free color there, so the result is class 1.
     """
-    cls = chromatic_index_class(g, max_edges=max_edges)
-    if cls.class_number != 2:
+    if chromatic_index_class(g, max_edges=max_edges) != 2:
         raise ValueError("input is class 1; augmentation is for class-2 graphs only")
     d = g.max_degree()
     v = min(w for w in range(g.n) if g.degree(w) == d)
@@ -360,21 +310,15 @@ def edge_coloring(g: Graph, k: int, max_edges: int = EDGE_COLOR_GUARD):
     return tuple(colors) if rec(0, 0) else None
 
 
-def chromatic_index_class(
-    g: Graph, max_edges: int = EDGE_COLOR_GUARD
-) -> ChromaticIndexResult:
-    """Decide class 1 versus class 2 by exact search for a Delta-edge-coloring.
+def chromatic_index_class(g: Graph, max_edges: int = EDGE_COLOR_GUARD) -> int:
+    """Class 1 or 2, by exact search for a Delta-edge-coloring.
 
     By Vizing the chromatic index is Delta or Delta+1, so one search settles
-    it; the Delta+1 value is reported without a second search.
+    it: the index is Delta + class - 1, and the class-1 witness is
+    edge_coloring(g, Delta).
     """
-    d = g.max_degree()
-    if d == 0:
-        return ChromaticIndexResult(1, 0, ())
-    witness = edge_coloring(g, d, max_edges=max_edges)
-    if witness is not None:
-        return ChromaticIndexResult(1, d, witness)
-    return ChromaticIndexResult(2, d + 1, None)
+    witness = edge_coloring(g, g.max_degree(), max_edges=max_edges)
+    return 1 if witness is not None else 2
 
 
 def one_factorization(

@@ -28,6 +28,7 @@ from .errors import SizeGuardExceeded
 from .graphs import Graph
 
 CENSUS_GUARD = 22
+CENSUS_TABLE_GUARD = 16
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def atn_from_orientations(
 
 
 def orientation_census_table(
-    g: Graph, max_edges: int = 16
+    g: Graph, max_edges: int = CENSUS_TABLE_GUARD
 ) -> tuple[list[int], list[int]]:
     """Eulerian censuses of every orientation at once: (even, odd) tables
     indexed by the orientation's bit-vector integer.

@@ -93,7 +93,7 @@ def lcc_check(
     Computes chi, ch, and the Alon-Tarsi number of L(g), and reports whether
     ch = chi on this instance and whether the line-graph degree bound holds.
     """
-    lg, _ = line_graph(g)
+    lg = line_graph(g)
     chi = chromatic_number(lg)
     ch = choice_number(lg, max_n=max_n, max_k=max_k)
     atn, _ = atn_from_polynomial(lg, max_terms=max_terms)
@@ -121,17 +121,16 @@ def _run_thm1(gname: str, cfg: dict) -> tuple[dict, dict]:
     factorization = None
     if g.is_regular() and g.n % 2 == 0:
         factorization = one_factorization(g, max_n=cfg["factorization_max_n"])
-    applicable = factorization is not None and g.n % 4 == 0
+    # Delta = 0 lies outside the theorem: the null line graph has ATN 1
+    applicable = factorization is not None and g.n % 4 == 0 and g.m > 0
     values["applicable"] = applicable
     if not applicable:
         claims["factor_structure"] = "SKIP"
         claims["atn_line_equals_delta"] = "SKIP"
         return claims, values
     d = g.max_degree()
-    lg, edge_to_vertex = line_graph(g)
-    classes = [
-        sorted(edge_to_vertex[e] for e in factor) for factor in factorization.factors
-    ]
+    lg = line_graph(g)
+    classes = [sorted(map(g.edges.index, factor)) for factor in factorization.factors]
     ladj = lg.adjacency()
     ok_structure = factorization.validate(g)
     for cls in classes:
@@ -180,19 +179,18 @@ def _run_thm2(g: Graph, cfg: dict) -> tuple[dict, dict]:
     d = g.max_degree()
     cls = chromatic_index_class(g)
     values["delta"] = d
-    values["class"] = cls.class_number
-    lg, _ = line_graph(g)
-    atn, _ = atn_from_polynomial(lg)
+    values["class"] = cls
+    atn, _ = atn_from_polynomial(line_graph(g))
     values["atn_line"] = atn
     claims["atn_line_le_delta_plus_1"] = atn <= d + 1
-    if cls.class_number == 1:
+    if cls == 1:
         claims["class1_atn_line_equals_delta"] = atn == d
     in_embed_family = g.n <= EMBED_MAX_N and g.m <= EMBED_MAX_EDGES
-    if in_embed_family and cls.class_number == 1:
-        host, emb = regular_embed_class1(g)
+    if in_embed_family and cls == 1:
+        host = regular_embed_class1(g)
         values["host"] = {"n": host.n, "m": host.m}
         claims["host_regular"] = set(host.degrees()) == {d}
-        copy0, _ = host.induced([emb[v] for v in range(g.n)])
+        copy0, _ = host.induced(range(g.n))
         claims["base_induced_in_host"] = copy0.edges == g.edges
         try:
             factorization = one_factorization(
@@ -205,12 +203,11 @@ def _run_thm2(g: Graph, cfg: dict) -> tuple[dict, dict]:
             values["host_one_factorizable"] = found
             if not found:
                 values["finding"] = "host not one-factorizable"
-    elif in_embed_family and cls.class_number == 2:
+    elif in_embed_family and cls == 2:
         augmented, attach = class2_augment(g)
         values["attachment"] = attach
         claims["augment_max_degree"] = augmented.max_degree() == d + 1
-        aug_cls = chromatic_index_class(augmented)
-        claims["augment_class1"] = aug_cls.class_number == 1
+        claims["augment_class1"] = chromatic_index_class(augmented) == 1
     return claims, values
 
 
@@ -218,20 +215,14 @@ def _run_cor3(gname: str, cfg: dict) -> tuple[dict, dict]:
     g = named_graph(gname)
     claims: dict = {}
     values: dict = {"graph": _graph_descriptor(g), "delta": g.max_degree()}
-    total, roles = total_graph(g)
-    sub, _ = subdivision_graph(g)
-    lg, _ = line_graph(g)
+    total = total_graph(g)
     values["total"] = {"n": total.n, "m": total.m}
-    originals = list(roles.originals())
-    edge_vs = list(roles.edge_vertices())
-    half_orig, _ = total.induced(originals)
-    half_edge, _ = total.induced(edge_vs)
-    cross = tuple(
-        e for e in total.edges if (e[0] < g.n) != (e[1] < g.n)
-    )
+    half_orig, _ = total.induced(range(g.n))
+    half_edge, _ = total.induced(range(g.n, total.n))
+    cross = tuple(e for e in total.edges if (e[0] < g.n) != (e[1] < g.n))
     claims["half_square_original_is_base"] = half_orig.edges == g.edges
-    claims["half_square_edge_is_line"] = half_edge.edges == lg.edges
-    claims["cross_edges_are_subdivision"] = cross == sub.edges
+    claims["half_square_edge_is_line"] = half_edge.edges == line_graph(g).edges
+    claims["cross_edges_are_subdivision"] = cross == subdivision_graph(g).edges
     atn, cert = atn_from_polynomial(total, max_terms=cfg["max_terms"])
     values["atn_total"] = atn
     values["certificate"] = cert.to_json_obj()

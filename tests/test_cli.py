@@ -38,13 +38,15 @@ def k3_file(tmp_path):
 class TestConstruct:
     def test_line_of_k4(self, k4_file, tmp_path, capsys):
         out = tmp_path / "lk4.edges"
-        aux = tmp_path / "map.json"
-        code = main(["construct", "line", k4_file, "-o", str(out), "--map", str(aux)])
+        code = main(["construct", "line", k4_file, "-o", str(out)])
         assert code == 0
         g = parse_edge_list_text(out.read_text())
         assert (g.n, g.m) == (6, 12)
-        mapping = json.loads(aux.read_text())
-        assert len(mapping["edge_to_vertex"]) == 6
+        # the numbering is the contract: no side map is written
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "line", k4_file, "--map", str(tmp_path / "map.json")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "map.json").exists()
 
     def test_total_of_k2_is_triangle(self, tmp_path, capsys):
         src = tmp_path / "k2.edges"
@@ -243,6 +245,16 @@ class TestVerify:
             rep = json.loads(ln)
             assert rep["pass"] is True
             assert rep["campaign"] == "thm1"
+
+    def test_thm1_edgeless_graphs_skip(self, tmp_path, capsys):
+        # Delta = 0 lies outside Theorem 1: L(G) is the null graph, ATN 1
+        cfg = _config_file(tmp_path, {"graphs": ["4K1", "K0"]})
+        assert main(["verify", "thm1", "--config", cfg]) == 0
+        reports = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
+        assert [rep["instance"] for rep in reports] == ["thm1/000-4K1", "thm1/001-K0"]
+        for rep in reports:
+            assert set(rep["claims"].values()) == {"SKIP"}
+            assert rep["values"]["applicable"] is False and rep["pass"] is True
 
     def test_text_format(self, capsys):
         assert main(["verify", "cor3", "--format", "text"]) == 0

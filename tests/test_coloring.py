@@ -90,7 +90,7 @@ class TestChromaticNumber:
         assert chromatic_number(g) == chi
 
     def test_line_graph_of_k4_is_octahedron(self):
-        lg, _ = line_graph(complete_graph(4))
+        lg = line_graph(complete_graph(4))
         assert chromatic_number(lg) == 3
 
     def test_guard(self):

@@ -11,7 +11,7 @@ from alontarsi import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    disjoint_double,
+    disjoint_union,
     edge_coloring,
     line_graph,
     named_graph,
@@ -63,16 +63,16 @@ class TestGraphType:
 
 class TestLineGraph:
     def test_triangle_self_dual(self):
-        lg, mapping = line_graph(complete_graph(3))
+        lg = line_graph(complete_graph(3))
         assert canonical_key(lg) == canonical_key(complete_graph(3))
-        assert sorted(mapping.values()) == [0, 1, 2]
+        assert lg.n == 3
 
     def test_path3_gives_single_edge(self):
-        lg, _ = line_graph(path_graph(3))
+        lg = line_graph(path_graph(3))
         assert (lg.n, lg.m) == (2, 1)
 
     def test_k4_gives_octahedron(self):
-        lg, mapping = line_graph(complete_graph(4))
+        lg = line_graph(complete_graph(4))
         assert (lg.n, lg.m) == (6, 12)
         assert set(lg.degrees()) == {4}
         # independent oracle: adjacency from shared endpoints
@@ -86,37 +86,39 @@ class TestLineGraph:
 
     def test_degree_identity(self):
         for g in [complete_graph(4), path_graph(5), star_graph(4), petersen_graph()]:
-            lg, mapping = line_graph(g)
-            for (u, v), i in mapping.items():
+            lg = line_graph(g)
+            assert lg.n == g.m
+            for i, (u, v) in enumerate(g.edges):
                 assert lg.degree(i) == g.degree(u) + g.degree(v) - 2
 
     def test_empty_graph(self):
-        lg, mapping = line_graph(Graph(3, []))
-        assert lg.n == 0 and mapping == {}
+        lg = line_graph(Graph(3, []))
+        assert (lg.n, lg.m) == (0, 0)
 
 
 class TestSubdivision:
     def test_k2_gives_p3(self):
-        s, _ = subdivision_graph(complete_graph(2))
+        s = subdivision_graph(complete_graph(2))
         assert canonical_key(s) == canonical_key(path_graph(3))
 
     def test_c3_gives_c6(self):
-        s, _ = subdivision_graph(cycle_graph(3))
+        s = subdivision_graph(cycle_graph(3))
         assert canonical_key(s) == canonical_key(cycle_graph(6))
 
     def test_k4_counts(self):
-        s, roles = subdivision_graph(complete_graph(4))
+        s = subdivision_graph(complete_graph(4))
         assert (s.n, s.m) == (10, 12)
-        assert len(roles.originals()) == 4 and len(roles.edge_vertices()) == 6
+        assert s.degrees() == (3,) * 4 + (2,) * 6
 
     @pytest.mark.parametrize("g", [complete_graph(4), star_graph(3), cycle_graph(5)])
     def test_bipartite_and_edge_vertex_degree(self, g):
-        s, roles = subdivision_graph(g)
-        for w in roles.edge_vertices():
-            assert s.degree(w) == 2
+        s = subdivision_graph(g)
+        assert s.n == g.n + g.m
+        adj = s.adjacency()
+        for i, e in enumerate(g.edges):
+            assert adj[g.n + i] == frozenset(e)
         # bipartite: 2-color by BFS
         color = {}
-        adj = s.adjacency()
         for comp in s.components():
             color[comp[0]] = 0
             stack = [comp[0]]
@@ -131,27 +133,27 @@ class TestSubdivision:
 
 class TestTotalGraph:
     def test_k2_gives_triangle(self):
-        t, _ = total_graph(complete_graph(2))
+        t = total_graph(complete_graph(2))
         assert canonical_key(t) == canonical_key(complete_graph(3))
 
     def test_c3_is_4_regular_on_6(self):
-        t, _ = total_graph(cycle_graph(3))
+        t = total_graph(cycle_graph(3))
         assert (t.n, t.m) == (6, 12)
         assert set(t.degrees()) == {4}
 
     def test_c4_counts_and_degree_formulas(self):
         g = cycle_graph(4)
-        t, roles = total_graph(g)
+        t = total_graph(g)
         assert (t.n, t.m) == (8, 16)
-        for v in roles.originals():
+        for v in range(g.n):
             assert t.degree(v) == 2 * g.degree(v)
-        for w, (u, v) in zip(roles.edge_vertices(), g.edges):
-            assert t.degree(w) == g.degree(u) + g.degree(v)
+        for i, (u, v) in enumerate(g.edges):
+            assert t.degree(g.n + i) == g.degree(u) + g.degree(v)
 
     @pytest.mark.parametrize("g", [cycle_graph(4), complete_graph(3), path_graph(4)])
     def test_total_is_square_of_subdivision(self, g):
-        s, _ = subdivision_graph(g)
-        t, _ = total_graph(g)
+        s = subdivision_graph(g)
+        t = total_graph(g)
         # oracle: vertices at distance <= 2 in S(G) become adjacent
         adj = s.adjacency()
         expect = set()
@@ -165,21 +167,20 @@ class TestTotalGraph:
 
     def test_half_squares(self):
         g = complete_graph(4)
-        t, roles = total_graph(g)
-        half_orig, _ = t.induced(roles.originals())
+        t = total_graph(g)
+        half_orig, _ = t.induced(range(g.n))
         assert half_orig.edges == g.edges
-        half_edge, _ = t.induced(roles.edge_vertices())
-        lg, _ = line_graph(g)
-        assert half_edge.edges == lg.edges
+        half_edge, _ = t.induced(range(g.n, t.n))
+        assert half_edge.edges == line_graph(g).edges
 
 
 class TestDisjointDouble:
     def test_k2(self):
-        d = disjoint_double(complete_graph(2))
+        d = disjoint_union(complete_graph(2), complete_graph(2))
         assert canonical_key(d) == canonical_key(named_graph("2K2"))
 
     def test_c3(self):
-        d = disjoint_double(cycle_graph(3))
+        d = disjoint_union(cycle_graph(3), cycle_graph(3))
         assert d.n == 6
         comps = d.components()
         assert len(comps) == 2
@@ -190,11 +191,11 @@ class TestDisjointDouble:
     def test_doubles_n_2_mod_4_to_multiple_of_4(self):
         g = cycle_graph(6)
         assert g.n % 4 == 2
-        assert disjoint_double(g).n % 4 == 0
+        assert disjoint_union(g, g).n % 4 == 0
 
     def test_second_copy_offset(self):
         g = path_graph(3)
-        d = disjoint_double(g)
+        d = disjoint_union(g, g)
         assert (3, 4) in d.edges and (4, 5) in d.edges
 
 
@@ -221,24 +222,24 @@ class TestRoundRobin:
 class TestRegularEmbed:
     def test_already_regular_adds_nothing(self):
         g = cycle_graph(4)
-        host, emb = regular_embed_class1(g)
+        host = regular_embed_class1(g)
         assert host.n == 2 * g.n and host.m == 2 * g.m
         assert set(host.degrees()) == {2}
 
     def test_p3_becomes_c6(self):
-        host, _ = regular_embed_class1(path_graph(3))
+        host = regular_embed_class1(path_graph(3))
         assert set(host.degrees()) == {2}
         assert canonical_key(host) == canonical_key(cycle_graph(6))
 
     def test_star_k13(self):
-        host, emb = regular_embed_class1(star_graph(3))
+        host = regular_embed_class1(star_graph(3))
         assert host.n == 16
         assert set(host.degrees()) == {3}
 
     @pytest.mark.parametrize("g", [path_graph(4), star_graph(4), complete_graph(4)])
     def test_base_is_induced_subgraph(self, g):
-        host, emb = regular_embed_class1(g)
-        copy0, _ = host.induced([emb[v] for v in range(g.n)])
+        host = regular_embed_class1(g)
+        copy0, _ = host.induced(range(g.n))
         assert copy0.edges == g.edges
         assert set(host.degrees()) == {g.max_degree()}
 
@@ -261,12 +262,12 @@ class TestClass2Augment:
     def test_c5(self):
         out, _ = class2_augment(cycle_graph(5))
         assert out.max_degree() == 3
-        assert chromatic_index_class(out).class_number == 1
+        assert chromatic_index_class(out) == 1
 
     def test_petersen(self):
         out, _ = class2_augment(petersen_graph())
         assert out.m == 16 and out.max_degree() == 4
-        assert chromatic_index_class(out).class_number == 1
+        assert chromatic_index_class(out) == 1
 
     def test_rejects_class1(self):
         with pytest.raises(ValueError):
@@ -415,34 +416,35 @@ class TestOneFactorizationOracle:
 
 class TestChromaticIndex:
     def test_k4(self):
-        res = chromatic_index_class(complete_graph(4))
-        assert (res.class_number, res.chromatic_index) == (1, 3)
-        # witness is a proper coloring
         g = complete_graph(4)
+        assert chromatic_index_class(g) == 1
+        # the class-1 witness is a proper Delta-edge-coloring
+        coloring = edge_coloring(g, g.max_degree())
+        assert set(coloring) == {0, 1, 2}
         for i, (u, v) in enumerate(g.edges):
             for j, (x, y) in enumerate(g.edges):
                 if i < j and {u, v} & {x, y}:
-                    assert res.coloring[i] != res.coloring[j]
+                    assert coloring[i] != coloring[j]
 
     def test_c5(self):
-        res = chromatic_index_class(cycle_graph(5))
-        assert (res.class_number, res.chromatic_index) == (2, 3)
+        g = cycle_graph(5)
+        assert chromatic_index_class(g) == 2
+        assert edge_coloring(g, g.max_degree()) is None
+        assert edge_coloring(g, g.max_degree() + 1) is not None
 
     def test_k33_bipartite(self):
-        res = chromatic_index_class(complete_bipartite(3, 3))
-        assert (res.class_number, res.chromatic_index) == (1, 3)
+        assert chromatic_index_class(complete_bipartite(3, 3)) == 1
 
     def test_k5_class2(self):
-        res = chromatic_index_class(complete_graph(5))
-        assert (res.class_number, res.chromatic_index) == (2, 5)
+        assert chromatic_index_class(complete_graph(5)) == 2
 
     def test_petersen_class2(self):
-        res = chromatic_index_class(petersen_graph())
-        assert (res.class_number, res.chromatic_index) == (2, 4)
+        assert chromatic_index_class(petersen_graph()) == 2
 
     def test_edgeless(self):
-        res = chromatic_index_class(Graph(3, []))
-        assert (res.class_number, res.chromatic_index) == (1, 0)
+        g = Graph(3, [])
+        assert chromatic_index_class(g) == 1
+        assert edge_coloring(g, g.max_degree()) == ()
 
     def test_guard(self):
         with pytest.raises(SizeGuardExceeded):
@@ -492,9 +494,3 @@ class TestSerialization:
     def test_dot(self):
         dot = to_dot(path_graph(3))
         assert dot.startswith("graph G {") and "0 -- 1;" in dot
-
-    def test_role_map_json(self):
-        _, roles = subdivision_graph(complete_graph(2))
-        obj = roles.to_json_obj()
-        assert obj[0] == {"vertex": 0, "role": "original", "source": 0}
-        assert obj[2] == {"vertex": 2, "role": "edge", "source": [0, 1]}

@@ -50,5 +50,5 @@ class TestLatinSquareIdentity:
     @pytest.mark.parametrize("n, even, odd", [(2, 2, 0), (3, 6, 6), (4, 576, 0)])
     def test_coefficient_is_even_minus_odd(self, n, even, odd):
         assert latin_square_parity(n) == (even, odd)
-        lg, _ = line_graph(complete_bipartite(n, n))
+        lg = line_graph(complete_bipartite(n, n))
         assert coefficient_of(lg, (n - 1,) * (n * n)) == even - odd

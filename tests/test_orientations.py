@@ -114,11 +114,11 @@ BIPARTITE = {
     "K2,6": (named_graph("K2,6"), True),
     "Q3": (cube_graph(3), True),
     "grid3x4": (grid_graph(3, 4), True),
-    "S(K4)": (subdivision_graph(complete_graph(4))[0], True),
+    "S(K4)": (subdivision_graph(complete_graph(4)), True),
     "C8": (cycle_graph(8), True),
     "K5,5": (named_graph("K5,5"), False),
     "grid4x4": (grid_graph(4, 4), False),
-    "S(K5)": (subdivision_graph(complete_graph(5))[0], True),
+    "S(K5)": (subdivision_graph(complete_graph(5)), True),
 }
 
 CYCLIC_K3 = (0, 1, 0)  # 0->1->2->0 over edges (0,1),(0,2),(1,2)
@@ -256,7 +256,7 @@ class TestAtnFromOrientations:
         "g, censuses, bits, census",
         [
             (complete_graph(6), 1187, "0x0", (1, 0)),
-            (total_graph(cycle_graph(5))[0], 3, "0x8", (3, 2)),
+            (total_graph(cycle_graph(5)), 3, "0x8", (3, 2)),
         ],
         ids=["K6", "T(C5)"],
     )
