@@ -1,14 +1,16 @@
 """Brute-force coloring ground truth: chromatic number, choosability, and
 choice number.
 
-One search decides every coloring question here: proper_coloring_from_lists,
-plain backtracking in vertex order.  chromatic_number hands it the lists
-range(min(k, v + 1)) for increasing k, and is_k_choosable calls it at every
-leaf of its list-assignment enumeration.
+One search decides every coloring question here: list_colorings, plain
+backtracking in vertex order that yields every proper coloring from the
+given lists.  proper_coloring_from_lists takes its first coloring, and
+chromatic_number hands that the lists range(min(k, v + 1)) for increasing k.
+is_k_choosable walks the colorings of the core minus its last vertex at
+every last-level node of its list-assignment enumeration.
 
 Choosability checking is doubly exponential, so the guards here are strict
-and loud.  Two exact reductions keep the interesting cases reachable without
-weakening the oracle:
+and loud.  Three exact reductions keep the interesting cases reachable
+without weakening the oracle:
 
   * peeling: a vertex with degree below k can always be colored last, so
     is_k_choosable(G, k) equals is_k_choosable on the k-core.  In particular
@@ -18,6 +20,11 @@ weakening the oracle:
     growth sequences over the universe {0, ..., k*n - 1}: fresh colors enter
     in increasing order.  A violating assignment uses at most k*n colors, so
     this enumeration is complete.
+  * the last vertex v is decided in closed form: with the lists on the
+    other core vertices fixed, a list L for v is bad exactly when L lies
+    inside the intersection, over every proper list-coloring c of core - v,
+    of the neighbour colors c(N(v)).  Fresh colors are never in it, and the
+    walk stops as soon as fewer than k colors remain.
 
 The enumeration order reuses old colors before fresh ones, so non-choosable
 instances fail fast with a concrete bad assignment.
@@ -46,27 +53,29 @@ def _k_core(g: Graph, k: int) -> tuple[Graph, list[int]]:
         keep = [v for v in keep if v not in low]
 
 
-def proper_coloring_from_lists(g: Graph, lists) -> tuple[int, ...] | None:
-    """A proper coloring picking each vertex's color from its list, or None.
-
-    Plain backtracking in vertex order; chromatic_number calls it once per k,
-    and the choosability enumeration calls it at every leaf.
-    """
+def list_colorings(g: Graph, lists):
+    """Every proper coloring picking each vertex's color from its list, as
+    tuples, in the order the lists are iterated (lexicographic for sorted
+    lists).  Plain backtracking in vertex order, yielded lazily."""
     adj = g.adjacency()
     chosen = [-1] * g.n
 
-    def rec(v: int) -> bool:
+    def rec(v: int):
         if v == g.n:
-            return True
+            yield tuple(chosen)
+            return
         for c in lists[v]:
             if all(chosen[w] != c for w in adj[v]):
                 chosen[v] = c
-                if rec(v + 1):
-                    return True
+                yield from rec(v + 1)
         chosen[v] = -1
-        return False
 
-    return tuple(chosen) if rec(0) else None
+    return rec(0)
+
+
+def proper_coloring_from_lists(g: Graph, lists) -> tuple[int, ...] | None:
+    """The first coloring of list_colorings, or None if there is none."""
+    return next(list_colorings(g, lists), None)
 
 
 def chromatic_number(g: Graph, max_n: int = CHROMATIC_GUARD) -> int:
@@ -119,14 +128,22 @@ def is_k_choosable(
             f"choosability guard: core n={core.n} (max {max_n}), k={k} (max {max_k})"
         )
 
+    last = core.n - 1
+    rest, _ = core.induced(range(last))
+    last_nbrs = core.adjacency()[last]
     assigned: list[tuple[int, ...]] = []
 
     def search(used: int):
-        i = len(assigned)
-        if i == core.n:
-            if proper_coloring_from_lists(core, assigned) is None:
-                return list(assigned)
-            return None
+        if len(assigned) == last:
+            # the colors every coloring of core - last puts on last's
+            # neighbours; a list is bad exactly when it lies inside them
+            common = set(range(used))
+            for c in list_colorings(rest, assigned):
+                common.intersection_update(c[w] for w in last_nbrs)
+                if len(common) < k:
+                    return None
+            first_bad = next(l for l in _candidate_lists(used, k) if common.issuperset(l))
+            return assigned + [first_bad]
         for cand in _candidate_lists(used, k):
             assigned.append(cand)
             bad = search(max(used, cand[-1] + 1))

@@ -20,8 +20,10 @@ from alontarsi import (
     proper_coloring_from_lists,
     star_graph,
 )
-from alontarsi.canon import all_graphs, connected_graphs
-from alontarsi.coloring import brute_force_k_choosable
+from alontarsi.canon import all_graphs, canonical_key, connected_graphs
+from alontarsi.coloring import _candidate_lists, _k_core, brute_force_k_choosable, list_colorings
+
+W4 = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
 
 
 def _assert_no_coloring(g, witness, k):
@@ -70,6 +72,51 @@ def _two_choosable_by_erdos_rubin_taylor(g):
         lengths.append(length)
     a, b, c = sorted(lengths)
     return (a, b) == (2, 2) and c % 2 == 0
+
+
+def _reference_is_k_choosable(g, k):
+    """The choosability search without the last-vertex criterion: the same
+    restricted-growth enumeration, with a list-coloring search at every
+    full assignment of the core."""
+    core, keep = _k_core(g, k)
+    assigned = []
+
+    def search(used):
+        if len(assigned) == core.n:
+            if proper_coloring_from_lists(core, assigned) is None:
+                return list(assigned)
+            return None
+        for cand in _candidate_lists(used, k):
+            assigned.append(cand)
+            bad = search(max(used, cand[-1] + 1))
+            if bad is not None:
+                return bad
+            assigned.pop()
+        return None
+
+    bad = search(0) if core.n else None
+    if bad is None:
+        return True, None
+    lists = [tuple(range(k))] * g.n
+    for core_v, orig_v in enumerate(keep):
+        lists[orig_v] = bad[core_v]
+    return False, tuple(lists)
+
+
+class TestListColorings:
+    @pytest.mark.parametrize(
+        "g,lists",
+        [
+            (cycle_graph(5), [range(3)] * 5),
+            (named_graph("paw"), [(0, 1), (1,), (0, 1, 2), (0, 2)]),
+            (complete_graph(3), [(0, 1)] * 3),
+        ],
+    )
+    def test_yields_exactly_the_proper_picks_in_order(self, g, lists):
+        proper = [c for c in product(*lists) if all(c[u] != c[v] for u, v in g.edges)]
+        assert list(list_colorings(g, lists)) == proper
+        assert proper == sorted(set(proper))
+        assert proper_coloring_from_lists(g, lists) == (proper[0] if proper else None)
 
 
 class TestChromaticNumber:
@@ -190,6 +237,22 @@ class TestIsKChoosable:
         ok, _ = is_k_choosable(cycle_graph(4), 2)
         assert ok == brute_force_k_choosable(cycle_graph(4), 2)
 
+    def test_matches_reference_search(self):
+        # verdict and witness as the search that colors every full assignment
+        for g in all_graphs(5):
+            for k in (1, 2, 3):
+                if k == 3 and canonical_key(g) == canonical_key(W4):
+                    continue  # ~5 s for the reference; test_wheel pins ch(W4) = 3
+                assert is_k_choosable(g, k) == _reference_is_k_choosable(g, k), (g.edges, k)
+
+    def test_uncolorable_rest_makes_the_first_list_bad(self):
+        # K5 minus its last vertex is K4, which (0, 1, 2) everywhere cannot color
+        assert is_k_choosable(complete_graph(5), 3) == (False, ((0, 1, 2),) * 5)
+
+    def test_w5_witness(self):
+        w5 = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+        assert is_k_choosable(w5, 3) == (False, ((0, 1, 2),) * 6)
+
     def test_monotone_in_k(self):
         for g in [cycle_graph(5), complete_graph(4), named_graph("paw")]:
             seen_true = False
@@ -220,8 +283,7 @@ class TestChoiceNumber:
         assert choice_number(complete_graph(5), max_k=4) == 5
 
     def test_wheel(self):
-        w4 = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
-        assert choice_number(w4, max_k=4) == 3
+        assert choice_number(W4, max_k=4) == 3
 
     def test_equals_chi_for_complete_graphs(self):
         for n in (2, 3, 4):
