@@ -3,8 +3,7 @@
 Each campaign enumerates an instance family from its default config (one
 registry entry in alontarsi.verify), runs every claim, and yields one report
 per instance.  The same campaigns back the acceptance suite and the
-`alontarsi verify` subcommand; the heavier families (duality at m <= 8, the
-n <= 5 sandwich) take a few seconds each.
+`alontarsi verify` subcommand.
 """
 
 import time

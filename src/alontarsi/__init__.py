@@ -36,7 +36,7 @@ from .efl import (
     hypothesis_check,
     theorem4_certify,
 )
-from .errors import InvalidConfig, MemoryGuardExceeded, SizeGuardExceeded
+from .errors import InvalidConfig, SizeGuardExceeded
 from .graphs import (
     Graph,
     OneFactorization,

@@ -14,7 +14,7 @@ import sys
 
 from .coloring import CHOOSABLE_K_GUARD, CHOOSABLE_N_GUARD, is_k_choosable
 from .efl import EflConfig, build_graph, generate_all, generate_up_to, theorem4_certify
-from .errors import InvalidConfig, MemoryGuardExceeded, SizeGuardExceeded
+from .errors import InvalidConfig, SizeGuardExceeded
 from .graphs import (
     class2_augment,
     disjoint_union,
@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SizeGuardExceeded, MemoryGuardExceeded) as exc:
+    except SizeGuardExceeded as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except CrossCheckMismatch as exc:

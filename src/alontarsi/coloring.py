@@ -57,7 +57,9 @@ def list_colorings(g: Graph, lists):
     """Every proper coloring picking each vertex's color from its list, as
     tuples, in the order the lists are iterated (lexicographic for sorted
     lists).  Plain backtracking in vertex order, yielded lazily."""
-    adj = g.adjacency()
+    earlier: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        earlier[v].append(u)
     chosen = [-1] * g.n
 
     def rec(v: int):
@@ -65,10 +67,9 @@ def list_colorings(g: Graph, lists):
             yield tuple(chosen)
             return
         for c in lists[v]:
-            if all(chosen[w] != c for w in adj[v]):
+            if all(chosen[w] != c for w in earlier[v]):
                 chosen[v] = c
                 yield from rec(v + 1)
-        chosen[v] = -1
 
     return rec(0)
 
@@ -78,15 +79,15 @@ def proper_coloring_from_lists(g: Graph, lists) -> tuple[int, ...] | None:
     return next(list_colorings(g, lists), None)
 
 
-def chromatic_number(g: Graph, max_n: int = CHROMATIC_GUARD) -> int:
+def chromatic_number(g: Graph) -> int:
     """Exact chromatic number: the least k for which the list search finds a
     proper coloring with list range(min(k, v + 1)) at vertex v.
 
     The lists lose no coloring: rename the colors of any proper k-coloring
     by first appearance in vertex order, and vertex v gets a color <= v.
     """
-    if g.n > max_n:
-        raise SizeGuardExceeded(f"chromatic guard: n={g.n} > {max_n}")
+    if g.n > CHROMATIC_GUARD:
+        raise SizeGuardExceeded(f"chromatic guard: n={g.n} > {CHROMATIC_GUARD}")
     for k in range(g.n + 1):
         lists = [range(min(k, v + 1)) for v in range(g.n)]
         if proper_coloring_from_lists(g, lists) is not None:

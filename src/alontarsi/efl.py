@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 
 from .errors import InvalidConfig, SizeGuardExceeded
 from .graphs import Graph
-from .orientations import CENSUS_GUARD, atn_from_orientations
+from .orientations import atn_from_orientations
 from .polynomials import DEFAULT_TERM_GUARD, atn_from_polynomial
 
 GENERATE_GUARD = 5
@@ -248,7 +248,7 @@ def theorem4_certify(cfg: EflConfig, max_terms: int = DEFAULT_TERM_GUARD) -> dic
     g = build_graph(cfg)
     atn_p, cert_p = atn_from_polynomial(g, max_terms=max_terms)
     try:
-        atn_o, _cert_o = atn_from_orientations(g, max_edges=CENSUS_GUARD)
+        atn_o, _cert_o = atn_from_orientations(g)
         agree = atn_p == atn_o
     except SizeGuardExceeded:
         agree = "SKIP"

@@ -1,16 +1,15 @@
 """Exceptions shared across the package.
 
-Guards are loud by design: an exact search that would exceed its configured
-size bound raises instead of silently truncating or approximating.
+Guards are loud by design: an exact search that would exceed its size bound
+(a vertex or edge count, or a count of live polynomial terms) raises the one
+guard exception, SizeGuardExceeded, instead of silently truncating or
+approximating.
 """
 
 
 class SizeGuardExceeded(Exception):
-    """An exact enumeration was asked to run past its configured size guard."""
-
-
-class MemoryGuardExceeded(Exception):
-    """A polynomial expansion grew past its configured live-term bound."""
+    """An exact search was asked to run past its size guard, or a polynomial
+    expansion grew past its live-term bound."""
 
 
 class InvalidConfig(ValueError):

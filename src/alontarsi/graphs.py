@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .errors import SizeGuardExceeded
 
-# Default guards for the exact searches in this module.  Callers may pass
-# larger bounds explicitly; the defaults fail loudly rather than run away.
+# Guards for the exact searches in this module: they fail loudly rather than
+# run away.  Only edge_coloring and one_factorization let a caller raise theirs.
 EDGE_COLOR_GUARD = 24
 FACTORIZATION_GUARD = 12
 
@@ -24,7 +24,7 @@ Edge = tuple[int, int]
 class Graph:
     """Immutable simple graph on vertices 0..n-1 with a canonical edge list."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -45,32 +45,33 @@ class Graph:
                 raise ValueError(f"duplicate edge {a}")
         self.n = n
         self.edges = tuple(canon)
-        self._adj = None
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def adjacency(self) -> tuple[frozenset, ...]:
-        if self._adj is None:
-            adj = [set() for _ in range(self.n)]
-            for u, v in self.edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            self._adj = tuple(frozenset(s) for s in adj)
-        return self._adj
+        adj = [set() for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return tuple(frozenset(s) for s in adj)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency()[v])
+        return self.degrees()[v]
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.adjacency())
+        degs = [0] * self.n
+        for u, v in self.edges:
+            degs[u] += 1
+            degs[v] += 1
+        return tuple(degs)
 
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency()[u] if 0 <= u < self.n else False
+        return (min(u, v), max(u, v)) in self.edges
 
     def is_regular(self) -> bool:
         degs = self.degrees()
@@ -129,11 +130,12 @@ class OneFactorization:
 
     def validate(self, graph: Graph) -> bool:
         """Re-check the defining properties against graph, post hoc."""
+        adj = graph.adjacency()
         seen = set()
         for factor in self.factors:
             touched = set()
             for u, v in factor:
-                if (u, v) in seen or not graph.has_edge(u, v):
+                if (u, v) in seen or not (0 <= u < graph.n and v in adj[u]):
                     return False
                 seen.add((u, v))
                 if u in touched or v in touched:
@@ -217,7 +219,7 @@ def round_robin_factorization(c: int) -> list[list[Edge]]:
     return factors
 
 
-def regular_embed_class1(g: Graph, max_edges: int = EDGE_COLOR_GUARD) -> Graph:
+def regular_embed_class1(g: Graph) -> Graph:
     """A Delta-regular host holding the class-1 graph g on vertices 0..n-1.
 
     Takes c disjoint copies of g (c = Delta, or Delta+1 if Delta is odd, so c
@@ -233,7 +235,7 @@ def regular_embed_class1(g: Graph, max_edges: int = EDGE_COLOR_GUARD) -> Graph:
         raise ValueError("need at least one edge")
     if 0 in degs:
         raise ValueError("isolated vertices cannot be repaired to degree Delta")
-    if chromatic_index_class(g, max_edges=max_edges) != 1:
+    if chromatic_index_class(g) != 1:
         raise ValueError("input must be class 1")
     c = d if d % 2 == 0 else d + 1
     n = g.n
@@ -248,9 +250,7 @@ def regular_embed_class1(g: Graph, max_edges: int = EDGE_COLOR_GUARD) -> Graph:
     return Graph(c * n, out)
 
 
-def class2_augment(
-    g: Graph, max_edges: int = EDGE_COLOR_GUARD
-) -> tuple[Graph, int]:
+def class2_augment(g: Graph) -> tuple[Graph, int]:
     """Attach a pendant vertex n to a maximum-degree vertex of a class-2 graph,
     and return the result with that attachment point.
 
@@ -258,10 +258,10 @@ def class2_augment(
     forces the result to have maximum degree Delta+1; a (Delta+1)-edge-coloring
     of g leaves a free color there, so the result is class 1.
     """
-    if chromatic_index_class(g, max_edges=max_edges) != 2:
+    if chromatic_index_class(g) != 2:
         raise ValueError("input is class 1; augmentation is for class-2 graphs only")
-    d = g.max_degree()
-    v = min(w for w in range(g.n) if g.degree(w) == d)
+    degs = g.degrees()
+    v = degs.index(max(degs))
     return Graph(g.n + 1, list(g.edges) + [(v, g.n)]), v
 
 
@@ -310,14 +310,14 @@ def edge_coloring(g: Graph, k: int, max_edges: int = EDGE_COLOR_GUARD):
     return tuple(colors) if rec(0, 0) else None
 
 
-def chromatic_index_class(g: Graph, max_edges: int = EDGE_COLOR_GUARD) -> int:
+def chromatic_index_class(g: Graph) -> int:
     """Class 1 or 2, by exact search for a Delta-edge-coloring.
 
     By Vizing the chromatic index is Delta or Delta+1, so one search settles
     it: the index is Delta + class - 1, and the class-1 witness is
     edge_coloring(g, Delta).
     """
-    witness = edge_coloring(g, g.max_degree(), max_edges=max_edges)
+    witness = edge_coloring(g, g.max_degree(), max_edges=EDGE_COLOR_GUARD)
     return 1 if witness is not None else 2
 
 

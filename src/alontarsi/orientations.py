@@ -215,9 +215,7 @@ def atn_from_orientations(
     return best.atn, best
 
 
-def orientation_census_table(
-    g: Graph, max_edges: int = CENSUS_TABLE_GUARD
-) -> tuple[list[int], list[int]]:
+def orientation_census_table(g: Graph) -> tuple[list[int], list[int]]:
     """Eulerian censuses of every orientation at once: (even, odd) tables
     indexed by the orientation's bit-vector integer.
 
@@ -230,8 +228,8 @@ def orientation_census_table(
     reference it is tested against.
     """
     m = g.m
-    if m > max_edges:
-        raise SizeGuardExceeded(f"census table guard: m={m} > {max_edges}")
+    if m > CENSUS_TABLE_GUARD:
+        raise SizeGuardExceeded(f"census table guard: m={m} > {CENSUS_TABLE_GUARD}")
     steps = [(u, v, 1 << i) for i, (u, v) in enumerate(g.edges)]
     full = (1 << m) - 1
     rem = [sum(x in e for e in g.edges) for x in range(g.n)]  # undecided edges at x

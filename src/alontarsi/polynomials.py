@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import MemoryGuardExceeded
+from .errors import SizeGuardExceeded
 from .graphs import Edge, Graph
 
 DEFAULT_TERM_GUARD = 10**7
@@ -126,7 +126,7 @@ def expand_capped(
     """Multiply the binomial factors, deleting terms with an exponent > cap.
 
     The product starts from `start`, packed at this cap's width, or from 1.
-    Raises MemoryGuardExceeded if the live terms plus the `held` terms the
+    Raises SizeGuardExceeded if the live terms plus the `held` terms the
     caller keeps elsewhere pass max_terms.
     """
     if cap < 0:
@@ -158,16 +158,16 @@ def expand_capped(
                 elif kv in new:
                     del new[kv]
         if len(new) + held > max_terms:
-            raise MemoryGuardExceeded(
+            raise SizeGuardExceeded(
                 f"live terms {len(new) + held} exceed guard {max_terms}"
             )
         terms = new
     return SparsePolynomial(nvars, width, terms)
 
 
-def full_expansion(g: Graph, max_terms: int = DEFAULT_TERM_GUARD) -> SparsePolynomial:
+def full_expansion(g: Graph) -> SparsePolynomial:
     """The complete graph polynomial expansion (cap = m is no cap at all)."""
-    return expand_capped(g.edges, g.n, max(g.m, 0), max_terms)
+    return expand_capped(g.edges, g.n, g.m, DEFAULT_TERM_GUARD)
 
 
 def _finishing_blocks(g: Graph) -> list[tuple[tuple[Edge, ...], int]]:
@@ -265,7 +265,7 @@ def coefficient_of(g: Graph, target) -> int:
     targets with the factors left, and zero coefficients are dropped.  A
     finished vertex is thus pinned at its target, so the live terms differ
     only on the unfinished vertices the factors so far touch: the frontier
-    of the edge order.  Raises MemoryGuardExceeded when the live terms pass
+    of the edge order.  Raises SizeGuardExceeded when the live terms pass
     DEFAULT_TERM_GUARD.  Total degree is m, so off-degree targets are zero
     immediately.  Shares no code with `expand_capped`, whose certificates
     it rechecks.
@@ -291,7 +291,7 @@ def coefficient_of(g: Graph, target) -> int:
                 new[key] = new.get(key, 0) - c
         terms = {key: c for key, c in new.items() if c}
         if len(terms) > DEFAULT_TERM_GUARD:
-            raise MemoryGuardExceeded(
+            raise SizeGuardExceeded(
                 f"coefficient_of: live terms {len(terms)} exceed guard {DEFAULT_TERM_GUARD}"
             )
     return terms.get(target, 0)

@@ -28,7 +28,7 @@ from .coloring import (
     choice_number,
 )
 from .efl import generate_up_to, theorem4_certify
-from .errors import MemoryGuardExceeded, SizeGuardExceeded
+from .errors import SizeGuardExceeded
 from .graphs import (
     FACTORIZATION_GUARD,
     Graph,
@@ -68,13 +68,13 @@ def campaign_passed(reports: list[dict]) -> bool:
     return all(report_passed(r) for r in reports)
 
 
-def duality_check(g: Graph, d: Orientation, max_edges: int = CENSUS_GUARD) -> bool:
+def duality_check(g: Graph, d: Orientation) -> bool:
     """Cross-validate the two Alon-Tarsi-number definitions on one orientation.
 
     The graph polynomial coefficient at the orientation's outdegree vector
     must match the census difference in absolute value.
     """
-    census = eulerian_census(d, max_edges=max_edges)
+    census = eulerian_census(d)
     return abs(coefficient_of(g, d.outdegrees())) == census.difference
 
 
@@ -82,12 +82,7 @@ def _graph_descriptor(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
-def lcc_check(
-    g: Graph,
-    max_n: int = CHOOSABLE_N_GUARD,
-    max_k: int = CHOOSABLE_K_GUARD,
-    max_terms: int = DEFAULT_TERM_GUARD,
-) -> dict:
+def lcc_check(g: Graph, max_k: int = CHOOSABLE_K_GUARD) -> dict:
     """Chromatic-choosability report for the line graph of g.
 
     Computes chi, ch, and the Alon-Tarsi number of L(g), and reports whether
@@ -95,8 +90,8 @@ def lcc_check(
     """
     lg = line_graph(g)
     chi = chromatic_number(lg)
-    ch = choice_number(lg, max_n=max_n, max_k=max_k)
-    atn, _ = atn_from_polynomial(lg, max_terms=max_terms)
+    ch = choice_number(lg, max_k=max_k)
+    atn, _ = atn_from_polynomial(lg)
     bound = g.max_degree() + 1
     return {
         "graph": _graph_descriptor(g),
@@ -456,7 +451,7 @@ def run_instance(name: str, iid: str, payload: tuple, cfg: dict) -> dict:
     worker, *args = payload
     try:
         claims, values = worker(*args, cfg)
-    except (SizeGuardExceeded, MemoryGuardExceeded) as exc:
+    except SizeGuardExceeded as exc:
         claims = dict.fromkeys(_CLAIMS[worker], "SKIP")
         values = {"guard": str(exc)}
     report = {"campaign": name, "instance": iid, "claims": claims, "values": values}

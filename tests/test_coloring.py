@@ -20,6 +20,7 @@ from alontarsi import (
     proper_coloring_from_lists,
     star_graph,
 )
+from alontarsi import coloring
 from alontarsi.canon import all_graphs, canonical_key, connected_graphs
 from alontarsi.coloring import _candidate_lists, _k_core, brute_force_k_choosable, list_colorings
 
@@ -143,6 +144,12 @@ class TestChromaticNumber:
     def test_guard(self):
         with pytest.raises(SizeGuardExceeded):
             chromatic_number(complete_graph(13))
+
+    def test_guard_is_read_when_called(self, monkeypatch):
+        monkeypatch.setattr(coloring, "CHROMATIC_GUARD", 4)
+        assert chromatic_number(complete_graph(4)) == 4
+        with pytest.raises(SizeGuardExceeded, match="chromatic guard: n=5 > 4"):
+            chromatic_number(complete_graph(5))
 
     def test_matches_brute_force_over_vertex_maps(self):
         # the least k with a proper map V -> range(k), by plain enumeration

@@ -1,8 +1,4 @@
-"""The demos run to completion against the current package.
-
-Demo 05 is left out: it runs every verify campaign (about 14 s), which the
-acceptance tests already do through the session fixtures in conftest.py.
-"""
+"""The demos run to completion against the current package."""
 
 import os
 import subprocess
@@ -20,7 +16,7 @@ SRC = Path(alontarsi.__file__).resolve().parent.parent
 @pytest.mark.parametrize(
     "demo",
     ["01_atn_basics.py", "02_constructions.py", "03_coloring_sandwich.py",
-     "04_efl_configurations.py"],
+     "04_efl_configurations.py", "05_campaigns.py"],
 )
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)

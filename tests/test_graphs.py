@@ -26,6 +26,7 @@ from alontarsi import (
     to_edge_list_text,
     total_graph,
 )
+from alontarsi import graphs
 from alontarsi.canon import all_graphs
 from alontarsi.graphs import round_robin_factorization
 
@@ -251,6 +252,12 @@ class TestRegularEmbed:
         with pytest.raises(ValueError):
             regular_embed_class1(Graph(3, [(0, 1)]))
 
+    def test_edge_color_guard_is_read_when_called(self, monkeypatch):
+        monkeypatch.setattr(graphs, "EDGE_COLOR_GUARD", 2)
+        assert regular_embed_class1(path_graph(3)).n == 6
+        with pytest.raises(SizeGuardExceeded, match="edge coloring guard: m=3 > 2"):
+            regular_embed_class1(path_graph(4))
+
 
 class TestClass2Augment:
     def test_c3_becomes_paw(self):
@@ -272,6 +279,12 @@ class TestClass2Augment:
     def test_rejects_class1(self):
         with pytest.raises(ValueError):
             class2_augment(complete_graph(4))
+
+    def test_edge_color_guard_is_read_when_called(self, monkeypatch):
+        monkeypatch.setattr(graphs, "EDGE_COLOR_GUARD", 3)
+        assert class2_augment(cycle_graph(3))[0].m == 4
+        with pytest.raises(SizeGuardExceeded, match="edge coloring guard: m=5 > 3"):
+            class2_augment(cycle_graph(5))
 
 
 class TestOneFactorization:

@@ -1,6 +1,6 @@
 """The oracles stay independent: the polynomial engine, the orientation
 engine and the brute-force coloring oracle share no package code past the
-graph type and the guard exceptions, so a cross-check between any two of
+graph type and the guard exception, so a cross-check between any two of
 them cannot pass by sharing a bug."""
 
 import ast

@@ -331,9 +331,11 @@ class TestCensusTable:
             coeff = coefficient_of(g, orient.outdegrees())
             assert abs(even[value] - odd[value]) == abs(coeff), value
 
-    def test_guard(self):
-        with pytest.raises(SizeGuardExceeded):
-            orientation_census_table(complete_graph(7), max_edges=10)
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(orientations, "CENSUS_TABLE_GUARD", 10)
+        assert len(orientation_census_table(path_graph(11))[0]) == 1 << 10
+        with pytest.raises(SizeGuardExceeded, match="census table guard: m=21 > 10"):
+            orientation_census_table(complete_graph(7))
 
     def test_guard_boundary_at_default(self):
         """A tree has only the empty Eulerian subdigraph, in every orientation."""

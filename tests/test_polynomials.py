@@ -7,7 +7,7 @@ import pytest
 
 from alontarsi import (
     Graph,
-    MemoryGuardExceeded,
+    SizeGuardExceeded,
     all_graphs,
     atn_from_polynomial,
     coefficient_of,
@@ -86,6 +86,15 @@ class TestExpandCapped:
         for g in connected_graphs(5):
             assert dict(full_expansion(g).items()) == naive_expansion(g)
 
+    def test_full_expansion_reads_the_guard_when_called(self, monkeypatch):
+        # K4's full expansion peaks at 24 live terms, after its last factor
+        g = complete_graph(4)
+        monkeypatch.setattr(polynomials, "DEFAULT_TERM_GUARD", 24)
+        assert full_expansion(g).num_terms() == 24
+        monkeypatch.setattr(polynomials, "DEFAULT_TERM_GUARD", 23)
+        with pytest.raises(SizeGuardExceeded, match="live terms 24 exceed guard 23"):
+            full_expansion(g)
+
     def test_cap_correctness_against_naive(self):
         # capped result = full expansion restricted to exponents <= cap
         graphs = [g for g in connected_graphs(6) if g.m >= 1][:20]
@@ -104,18 +113,18 @@ class TestExpandCapped:
                 assert sum(exps) == g.m
 
     def test_memory_guard(self):
-        with pytest.raises(MemoryGuardExceeded):
+        with pytest.raises(SizeGuardExceeded):
             expand_capped(
                 complete_graph(5).edges, 5, 4, max_terms=10
             )
 
     def test_memory_guard_propagates_through_atn(self):
-        with pytest.raises(MemoryGuardExceeded):
+        with pytest.raises(SizeGuardExceeded):
             atn_from_polynomial(complete_graph(5), max_terms=5)
 
     def test_guard_counts_held_terms(self):
         expand_capped([(0, 1)], 2, 1, max_terms=4, held=2)
-        with pytest.raises(MemoryGuardExceeded, match="live terms 4 exceed guard 3"):
+        with pytest.raises(SizeGuardExceeded, match="live terms 4 exceed guard 3"):
             expand_capped([(0, 1)], 2, 1, max_terms=3, held=2)
 
     def test_start_continues_a_product(self):
@@ -257,7 +266,7 @@ class TestCoefficientOf:
         monkeypatch.setattr(polynomials, "DEFAULT_TERM_GUARD", 8)
         assert coefficient_of(g, (2,) * 5) == 0
         monkeypatch.setattr(polynomials, "DEFAULT_TERM_GUARD", 7)
-        with pytest.raises(MemoryGuardExceeded, match="live terms 8 exceed guard 7"):
+        with pytest.raises(SizeGuardExceeded, match="live terms 8 exceed guard 7"):
             coefficient_of(g, (2,) * 5)
 
 
