@@ -13,7 +13,7 @@ from alontarsi import (
     connected_graphs,
     cycle_graph,
     is_k_choosable,
-    lcc_check,
+    line_graph,
 )
 
 # ── a non-choosable instance with its witness ──────────────────────────
@@ -35,7 +35,11 @@ for g in connected_graphs(6, max_vertices=4):
 print("chi <= ch <= ATN held on every instance")
 
 # ── chromatic-choosability of line graphs ──────────────────────────────
-# line graphs are conjectured chromatic-choosable; the report also checks
-# the Alon-Tarsi bound ATN(L(G)) <= Delta(G) + 1
-report = lcc_check(cycle_graph(4))
-print("\nL(C4) report:", report)
+# line graphs are conjectured chromatic-choosable (ch = chi), and the
+# Alon-Tarsi bound is ATN(L(G)) <= Delta(G) + 1; L(C4) is C4 again
+L = line_graph(cycle_graph(4))
+chi = chromatic_number(L)
+ch = choice_number(L, max_k=4)
+atn, _ = atn_from_polynomial(L)
+assert chi == ch and atn <= 2 + 1
+print(f"\nL(C4): chi = {chi}, ch = {ch}, ATN = {atn} (Delta(C4) + 1 = 3)")

@@ -80,8 +80,6 @@ from .verify import (
     CAMPAIGNS,
     campaign_passed,
     default_config,
-    duality_check,
-    lcc_check,
     run_campaign,
 )
 

@@ -165,11 +165,7 @@ def is_k_choosable(
     return False, tuple(lists)
 
 
-def choice_number(
-    g: Graph,
-    max_n: int = CHOOSABLE_N_GUARD,
-    max_k: int = CHOOSABLE_K_GUARD,
-) -> int:
+def choice_number(g: Graph, max_k: int = CHOOSABLE_K_GUARD) -> int:
     """Least k such that g is k-choosable; monotone, so scan k upward.
 
     Terminates by k = Delta + 1, where the k-core is always empty.
@@ -177,7 +173,7 @@ def choice_number(
     if g.n == 0:
         return 0
     for k in range(1, g.max_degree() + 2):
-        ok, _ = is_k_choosable(g, k, max_n=max_n, max_k=max_k)
+        ok, _ = is_k_choosable(g, k, max_k=max_k)
         if ok:
             return k
     raise AssertionError("Delta + 1 lists always suffice")

@@ -70,9 +70,6 @@ class Graph:
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def is_regular(self) -> bool:
         degs = self.degrees()
         return len(set(degs)) <= 1

@@ -7,10 +7,11 @@ and wall time.  A campaign passes when no claim is False; a guarded skip is
 reported, never silently dropped, and never counted as a pass of anything.
 
 Each campaign is one entry in _REGISTRY: its default config and the builder
-of its instance family.  Defaults that are guards name the module constant
-they come from, so a guard is written once.  Reports are JSON-lines with
-sorted keys: byte-identical across runs except for the wall-time field.
-Adding a campaign means one registry entry.
+of its instance family.  Config keys pick the instances or are set by a
+verify flag; guards are module constants, each written once.  The builder
+reads the config and puts what a worker needs into the worker's payload.
+Reports are JSON-lines with sorted keys: byte-identical across runs except
+for the wall-time field.  Adding a campaign means one registry entry.
 """
 
 from __future__ import annotations
@@ -21,16 +22,10 @@ import random
 import time
 
 from .canon import all_graphs, connected_graphs, graphs_with_edge_budget
-from .coloring import (
-    CHOOSABLE_K_GUARD,
-    CHOOSABLE_N_GUARD,
-    chromatic_number,
-    choice_number,
-)
+from .coloring import chromatic_number, choice_number
 from .efl import generate_up_to, theorem4_certify
 from .errors import SizeGuardExceeded
 from .graphs import (
-    FACTORIZATION_GUARD,
     Graph,
     chromatic_index_class,
     class2_augment,
@@ -42,8 +37,6 @@ from .graphs import (
     total_graph,
 )
 from .orientations import (
-    CENSUS_GUARD,
-    Orientation,
     atn_from_orientations,
     eulerian_census,
     orientation_census_table,
@@ -68,54 +61,23 @@ def campaign_passed(reports: list[dict]) -> bool:
     return all(report_passed(r) for r in reports)
 
 
-def duality_check(g: Graph, d: Orientation) -> bool:
-    """Cross-validate the two Alon-Tarsi-number definitions on one orientation.
-
-    The graph polynomial coefficient at the orientation's outdegree vector
-    must match the census difference in absolute value.
-    """
-    census = eulerian_census(d)
-    return abs(coefficient_of(g, d.outdegrees())) == census.difference
-
-
 def _graph_descriptor(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
-def lcc_check(g: Graph, max_k: int = CHOOSABLE_K_GUARD) -> dict:
-    """Chromatic-choosability report for the line graph of g.
-
-    Computes chi, ch, and the Alon-Tarsi number of L(g), and reports whether
-    ch = chi on this instance and whether the line-graph degree bound holds.
-    """
-    lg = line_graph(g)
-    chi = chromatic_number(lg)
-    ch = choice_number(lg, max_k=max_k)
-    atn, _ = atn_from_polynomial(lg)
-    bound = g.max_degree() + 1
-    return {
-        "graph": _graph_descriptor(g),
-        "chi": chi,
-        "ch": ch,
-        "atn": atn,
-        "bounds": {"thm2": bound},
-        "satisfies": {"chromatic_choosable": ch == chi, "thm2": atn <= bound},
-    }
-
-
 # ---------------------------------------------------------------------------
-# per-instance workers: each takes its payload's arguments plus the config
-# and returns (claims, values)
+# per-instance workers: each takes its payload's arguments and returns
+# (claims, values)
 # ---------------------------------------------------------------------------
 
 
-def _run_thm1(gname: str, cfg: dict) -> tuple[dict, dict]:
+def _run_thm1(gname: str) -> tuple[dict, dict]:
     g = named_graph(gname)
     claims: dict = {}
     values: dict = {"graph": _graph_descriptor(g), "delta": g.max_degree()}
     factorization = None
     if g.is_regular() and g.n % 2 == 0:
-        factorization = one_factorization(g, max_n=cfg["factorization_max_n"])
+        factorization = one_factorization(g)
     # Delta = 0 lies outside the theorem: the null line graph has ATN 1
     applicable = factorization is not None and g.n % 4 == 0 and g.m > 0
     values["applicable"] = applicable
@@ -148,7 +110,7 @@ def _run_thm1(gname: str, cfg: dict) -> tuple[dict, dict]:
     claims["pair_all_ones_monomial"] = pair_all_ones
     atn_p, cert = atn_from_polynomial(lg)
     try:
-        atn_o, _ = atn_from_orientations(lg, max_edges=cfg["orientation_max_edges"])
+        atn_o, _ = atn_from_orientations(lg)
     except SizeGuardExceeded as exc:
         # the finished claims stand; a wrong polynomial value is still False
         claims["atn_line_equals_delta"] = "SKIP" if atn_p == d else False
@@ -163,12 +125,15 @@ def _run_thm1(gname: str, cfg: dict) -> tuple[dict, dict]:
     return claims, values
 
 
-# thm2 checks the embedding and augmentation constructions on graphs this small
+# thm2 checks the embedding and augmentation constructions on graphs this
+# small.  With n <= 5, Delta <= 4 and a host has c <= 4 copies of the base,
+# so at most 20 vertices: EMBED_HOST_GUARD does not trip on this family.
 EMBED_MAX_N = 5
 EMBED_MAX_EDGES = 6
+EMBED_HOST_GUARD = 24
 
 
-def _run_thm2(g: Graph, cfg: dict) -> tuple[dict, dict]:
+def _run_thm2(g: Graph) -> tuple[dict, dict]:
     claims: dict = {}
     values: dict = {"graph": _graph_descriptor(g)}
     d = g.max_degree()
@@ -187,17 +152,11 @@ def _run_thm2(g: Graph, cfg: dict) -> tuple[dict, dict]:
         claims["host_regular"] = set(host.degrees()) == {d}
         copy0, _ = host.induced(range(g.n))
         claims["base_induced_in_host"] = copy0.edges == g.edges
-        try:
-            factorization = one_factorization(
-                host, max_n=cfg["host_factorization_max_n"]
-            )
-        except SizeGuardExceeded:
-            values["host_one_factorizable"] = "SKIP"
-        else:
-            found = factorization is not None and factorization.validate(host)
-            values["host_one_factorizable"] = found
-            if not found:
-                values["finding"] = "host not one-factorizable"
+        factorization = one_factorization(host, max_n=EMBED_HOST_GUARD)
+        found = factorization is not None and factorization.validate(host)
+        values["host_one_factorizable"] = found
+        if not found:
+            values["finding"] = "host not one-factorizable"
     elif in_embed_family and cls == 2:
         augmented, attach = class2_augment(g)
         values["attachment"] = attach
@@ -206,7 +165,7 @@ def _run_thm2(g: Graph, cfg: dict) -> tuple[dict, dict]:
     return claims, values
 
 
-def _run_cor3(gname: str, cfg: dict) -> tuple[dict, dict]:
+def _run_cor3(gname: str, max_terms: int) -> tuple[dict, dict]:
     g = named_graph(gname)
     claims: dict = {}
     values: dict = {"graph": _graph_descriptor(g), "delta": g.max_degree()}
@@ -218,22 +177,22 @@ def _run_cor3(gname: str, cfg: dict) -> tuple[dict, dict]:
     claims["half_square_original_is_base"] = half_orig.edges == g.edges
     claims["half_square_edge_is_line"] = half_edge.edges == line_graph(g).edges
     claims["cross_edges_are_subdivision"] = cross == subdivision_graph(g).edges
-    atn, cert = atn_from_polynomial(total, max_terms=cfg["max_terms"])
+    atn, cert = atn_from_polynomial(total, max_terms=max_terms)
     values["atn_total"] = atn
     values["certificate"] = cert.to_json_obj()
     claims["atn_total_le_delta_plus_3"] = atn <= g.max_degree() + 3
     return claims, values
 
 
-def _run_thm4(cfg_obj, cfg: dict) -> tuple[dict, dict]:
-    rep = theorem4_certify(cfg_obj)
+def _run_thm4(config) -> tuple[dict, dict]:
+    rep = theorem4_certify(config)
     claims = {k: rep[k] for k in ("engines_agree", "conclusion_holds")}
     values = {k: rep[k] for k in ("config", "atn", "caseA", "caseB", "applicable",
                                   "oversized_d_components", "certificate")}
     return claims, values
 
 
-def _run_duality_census(g: Graph, cfg: dict) -> tuple[dict, dict]:
+def _run_duality_census(g: Graph) -> tuple[dict, dict]:
     even, odd = orientation_census_table(g)
     poly = full_expansion(g)
     # keys[d] is the packed outdegree vector of orientation d.  Orientation 0
@@ -262,7 +221,7 @@ def _run_duality_census(g: Graph, cfg: dict) -> tuple[dict, dict]:
     return claims, values
 
 
-def _run_duality_engines(g: Graph, cfg: dict) -> tuple[dict, dict]:
+def _run_duality_engines(g: Graph) -> tuple[dict, dict]:
     atn_p, cert_p = atn_from_polynomial(g)
     atn_o, cert_o = atn_from_orientations(g)
     monomial_ok = (
@@ -299,8 +258,8 @@ EVAL_POINTS = 100
 EVAL_MAX_EDGES = 10
 
 
-def _run_duality_eval(g: Graph, idx: int, cfg: dict) -> tuple[dict, dict]:
-    rng = random.Random(cfg["seed"] * 1_000_003 + idx)
+def _run_duality_eval(g: Graph, seed: int) -> tuple[dict, dict]:
+    rng = random.Random(seed)
     poly = full_expansion(g)
     points_ok = True
     for _ in range(EVAL_POINTS):
@@ -320,13 +279,15 @@ def _run_duality_eval(g: Graph, idx: int, cfg: dict) -> tuple[dict, dict]:
     return claims, values
 
 
-def _run_sandwich(g: Graph, cfg: dict) -> tuple[dict, dict]:
+# sandwich lets choice_number scan one list size past CHOOSABLE_K_GUARD
+SANDWICH_MAX_K = 4
+
+
+def _run_sandwich(g: Graph) -> tuple[dict, dict]:
     chi = chromatic_number(g)
     atn, _ = atn_from_polynomial(g)
     try:
-        ch = choice_number(
-            g, max_n=cfg["choosable_max_n"], max_k=cfg["choosable_max_k"]
-        )
+        ch = choice_number(g, max_k=SANDWICH_MAX_K)
     except SizeGuardExceeded:
         ch = None
     claims = {
@@ -365,10 +326,10 @@ _CLAIMS = {
 }
 
 
-def _named_graphs(prefix: str, worker, cfg: dict) -> list[tuple[str, tuple]]:
+def _named_graphs(prefix: str, worker, gnames, *extra) -> list[tuple[str, tuple]]:
     return [
-        (f"{prefix}/{i:03d}-{gname}", (worker, gname))
-        for i, gname in enumerate(cfg["graphs"])
+        (f"{prefix}/{i:03d}-{gname}", (worker, gname, *extra))
+        for i, gname in enumerate(gnames)
     ]
 
 
@@ -383,8 +344,10 @@ def _duality_instances(cfg: dict) -> list[tuple[str, tuple]]:
     census = graphs_with_edge_budget(cfg["max_edges"])
     n = cfg["engine_max_n"]
     conn = connected_graphs(n * (n - 1) // 2, max_vertices=n)
+    # eval instance i seeds its own RNG with seed * 1_000_003 + i
+    seed = cfg["seed"] * 1_000_003
     evals = [
-        (f"duality/eval/{i:03d}-{g.n}v{g.m}e", (_run_duality_eval, g, i))
+        (f"duality/eval/{i:03d}-{g.n}v{g.m}e", (_run_duality_eval, g, seed + i))
         for i, g in enumerate(conn)
         if g.m <= EVAL_MAX_EDGES
     ]
@@ -397,26 +360,23 @@ def _duality_instances(cfg: dict) -> list[tuple[str, tuple]]:
 
 # Campaign name -> (default config, builder), where a builder maps a config
 # to [(instance id, payload)].  A payload is a module-level worker plus its
-# arguments, so it pickles for --jobs.  Builders call catalogs and engines by
-# module global, which the bench tracer rebinds.
+# arguments, so it pickles for --jobs; the config itself never reaches a
+# worker.  Builders call catalogs and engines by module global, which the
+# bench tracer rebinds.
 _REGISTRY = {
     "thm1": (
-        {
-            "graphs": ["2K2", "C4", "K4"],
-            "factorization_max_n": FACTORIZATION_GUARD,
-            "orientation_max_edges": CENSUS_GUARD,
-        },
-        lambda cfg: _named_graphs("thm1", _run_thm1, cfg),
+        {"graphs": ["2K2", "C4", "K4"]},
+        lambda cfg: _named_graphs("thm1", _run_thm1, cfg["graphs"]),
     ),
     "thm2": (
-        {"max_edges": 6, "host_factorization_max_n": 24},
+        {"max_edges": 6},
         lambda cfg: _graph_family(
             "thm2", _run_thm2, [g for g in connected_graphs(cfg["max_edges"]) if g.m >= 1]
         ),
     ),
     "cor3": (
         {"graphs": ["K2", "P3", "P4", "K3", "C4", "K1,3"], "max_terms": DEFAULT_TERM_GUARD},
-        lambda cfg: _named_graphs("cor3", _run_cor3, cfg),
+        lambda cfg: _named_graphs("cor3", _run_cor3, cfg["graphs"], cfg["max_terms"]),
     ),
     "thm4": (
         {"max_k": 3},
@@ -428,7 +388,7 @@ _REGISTRY = {
     ),
     "duality": ({"max_edges": 8, "engine_max_n": 5, "seed": 0}, _duality_instances),
     "sandwich": (
-        {"max_n": 5, "choosable_max_n": CHOOSABLE_N_GUARD, "choosable_max_k": 4},
+        {"max_n": 5},
         lambda cfg: _graph_family("sandwich", _run_sandwich, all_graphs(cfg["max_n"])),
     ),
 }
@@ -446,11 +406,11 @@ def campaign_instances(name: str, cfg: dict) -> list[tuple[str, tuple]]:
     return _REGISTRY[name][1](cfg)
 
 
-def run_instance(name: str, iid: str, payload: tuple, cfg: dict) -> dict:
+def run_instance(name: str, iid: str, payload: tuple) -> dict:
     started = time.perf_counter()
     worker, *args = payload
     try:
-        claims, values = worker(*args, cfg)
+        claims, values = worker(*args)
     except SizeGuardExceeded as exc:
         claims = dict.fromkeys(_CLAIMS[worker], "SKIP")
         values = {"guard": str(exc)}
@@ -503,7 +463,7 @@ def run_campaign(
         if value is not None and not _typed_like(value, cfg[key]):
             raise ValueError(f"{name} config {key!r} must be typed like {cfg[key]!r}: {value!r}")
     cfg.update({k: v for k, v in overrides.items() if v is not None})
-    args = [(name, iid, payload, cfg) for iid, payload in campaign_instances(name, cfg)]
+    args = [(name, iid, payload) for iid, payload in campaign_instances(name, cfg)]
     if jobs > 1:
         import multiprocessing
 

@@ -275,6 +275,21 @@ class TestVerify:
 
         assert strip(run_campaign("cor3", jobs=2)) == strip(run_campaign("cor3"))
 
+    def test_thm2_hosts_fit_the_host_guard(self, thm2_reports):
+        # a base with n <= 5 has Delta <= 4, so its host has at most 4 copies
+        # and 20 vertices: EMBED_HOST_GUARD never trips and every host is
+        # factorized
+        for rep in thm2_reports:
+            assert "SKIP" not in rep["claims"].values() and "guard" not in rep["values"]
+        embeds = [
+            rep["values"]
+            for rep in thm2_reports
+            if rep["values"]["class"] == 1 and rep["values"]["graph"]["n"] <= verify.EMBED_MAX_N
+        ]
+        assert len(embeds) > 0
+        for values in embeds:
+            assert values["host_one_factorizable"] is True and values["host"]["n"] <= 20
+
     def test_max_edges_shrinks_family(self, capsys):
         assert main(["verify", "thm2", "--max-edges", "3", "--format", "json"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -291,19 +306,12 @@ class TestVerify:
     @pytest.mark.parametrize(
         "campaign, expected",
         [
-            (
-                "thm1",
-                {
-                    "graphs": ["2K2", "C4", "K4"],
-                    "factorization_max_n": 12,
-                    "orientation_max_edges": 22,
-                },
-            ),
-            ("thm2", {"max_edges": 6, "host_factorization_max_n": 24}),
+            ("thm1", {"graphs": ["2K2", "C4", "K4"]}),
+            ("thm2", {"max_edges": 6}),
             ("cor3", {"graphs": ["K2", "P3", "P4", "K3", "C4", "K1,3"], "max_terms": 10000000}),
             ("thm4", {"max_k": 3}),
             ("duality", {"max_edges": 8, "engine_max_n": 5, "seed": 0}),
-            ("sandwich", {"max_n": 5, "choosable_max_n": 6, "choosable_max_k": 4}),
+            ("sandwich", {"max_n": 5}),
         ],
     )
     def test_default_config(self, campaign, expected):
@@ -334,21 +342,20 @@ class TestVerifyGuards:
             assert rep["values"]["guard"].endswith("exceed guard 4")
 
     def test_size_guard_skip_keeps_default_claim_keys(self, tmp_path, capsys):
-        assert main(["verify", "thm1"]) == 0
-        default = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
-        cfg = _config_file(tmp_path, {"factorization_max_n": 2})
+        # C14 is 2-regular on 14 vertices, past FACTORIZATION_GUARD = 12
+        cfg = _config_file(tmp_path, {"graphs": ["C14"]})
         assert main(["verify", "thm1", "--config", cfg]) == 0
-        guarded = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
-        assert len(guarded) == 3
-        for want, got in zip(default, guarded):
-            assert got["instance"] == want["instance"]
-            assert got["claims"] == dict.fromkeys(want["claims"], "SKIP")
-            assert got["values"]["guard"].startswith("factorization guard")
+        (rep,) = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
+        assert rep["instance"] == "thm1/000-C14"
+        assert rep["claims"] == dict.fromkeys(
+            ("factor_structure", "pair_all_ones_monomial", "atn_line_equals_delta"), "SKIP"
+        )
+        assert rep["values"] == {"guard": "factorization guard: n=14 > 12"}
 
     def test_orientation_guard_skips_only_its_claim(self, monkeypatch):
-        # L(K4) has m = 12: the factorization claims finish, the orientation
-        # engine's guard trips
-        overrides = {"graphs": ["K4"], "orientation_max_edges": 11}
+        # L(2K4) has m = 24: the factorization claims finish, the orientation
+        # engine's guard (CENSUS_GUARD = 22) trips
+        overrides = {"graphs": ["2K4"]}
         (rep,) = run_campaign("thm1", overrides=overrides)
         assert rep["claims"] == {
             "factor_structure": True,
@@ -356,7 +363,7 @@ class TestVerifyGuards:
             "atn_line_equals_delta": "SKIP",
         }
         assert rep["values"]["atn_line"] == 3 and rep["pass"] is True
-        assert rep["values"]["guard"] == "orientation guard: m=12 > 11"
+        assert rep["values"]["guard"] == "orientation guard: m=24 > 22"
 
         # a polynomial value off Delta still fails without the other engine
         real = verify.atn_from_polynomial
@@ -368,8 +375,8 @@ class TestVerifyGuards:
         # one nonzero coefficient of K4 goes missing: the identity claim
         # fails, and the other claim and the Alon-Tarsi count still cover
         # all 64 orientations
-        g, cfg = named_graph("K4"), verify.default_config("duality")
-        claims, values = verify._run_duality_census(g, cfg)
+        g = named_graph("K4")
+        claims, values = verify._run_duality_census(g)
         assert claims == {"census_matches_coefficients": True, "arc_reversal_symmetric": True}
         real = verify.full_expansion
 
@@ -379,7 +386,7 @@ class TestVerifyGuards:
             return poly
 
         monkeypatch.setattr(verify, "full_expansion", dropped)
-        bad_claims, bad_values = verify._run_duality_census(g, cfg)
+        bad_claims, bad_values = verify._run_duality_census(g)
         assert bad_claims == {
             "census_matches_coefficients": False,
             "arc_reversal_symmetric": True,
@@ -424,19 +431,25 @@ class TestVerifyGuards:
         assert captured.out == "" and "invalid input" in captured.err
 
     def test_duality_census_uses_the_table_guard(self):
-        # the table's own guard applies, not one derived from max_edges, so
-        # the empty graph is censused even when max_edges is negative
-        claims, _ = verify._run_duality_census(Graph(0, []), {"max_edges": -3})
+        # the worker sees no campaign config: the census table's own guard
+        # applies, and the empty graph has its one orientation censused
+        claims, _ = verify._run_duality_census(Graph(0, []))
         assert claims == {"census_matches_coefficients": True, "arc_reversal_symmetric": True}
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        # the last four were config keys before they became constants in verify
+        # all but the first were config keys: constants in verify, or guards
+        # read from their module constants
         for campaign, key, value in [
             ("thm1", "graphz", ["K4"]),
             ("thm2", "embed_max_n", 5),
             ("thm2", "embed_max_edges", 6),
             ("duality", "eval_points", 100),
             ("duality", "eval_max_edges", 10),
+            ("thm1", "factorization_max_n", 12),
+            ("thm1", "orientation_max_edges", 22),
+            ("thm2", "host_factorization_max_n", 24),
+            ("sandwich", "choosable_max_n", 6),
+            ("sandwich", "choosable_max_k", 4),
         ]:
             cfg = _config_file(tmp_path, {key: value})
             assert main(["verify", campaign, "--config", cfg]) == 2

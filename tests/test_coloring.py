@@ -7,13 +7,13 @@ import pytest
 from alontarsi import (
     Graph,
     SizeGuardExceeded,
+    atn_from_polynomial,
     choice_number,
     chromatic_number,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     is_k_choosable,
-    lcc_check,
     line_graph,
     named_graph,
     path_graph,
@@ -299,25 +299,18 @@ class TestChoiceNumber:
             )
 
 
-class TestLccCheck:
-    def test_p3(self):
-        report = lcc_check(path_graph(3))
-        assert (report["chi"], report["ch"], report["atn"]) == (2, 2, 2)
-        assert report["satisfies"]["chromatic_choosable"]
-        assert report["satisfies"]["thm2"]
-
-    def test_k3(self):
-        report = lcc_check(complete_graph(3))
-        assert (report["chi"], report["ch"], report["atn"]) == (3, 3, 3)
-        assert report["bounds"]["thm2"] == 3
-        assert report["satisfies"]["chromatic_choosable"]
-
-    def test_c4(self):
-        report = lcc_check(cycle_graph(4))
-        assert (report["chi"], report["ch"], report["atn"]) == (2, 2, 2)
-        assert report["bounds"]["thm2"] == 3
-
-    def test_star(self):
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (path_graph(3), (2, 2, 2)),
+        (complete_graph(3), (3, 3, 3)),
+        (cycle_graph(4), (2, 2, 2)),
         # L(K_{1,4}) = K_4
-        report = lcc_check(star_graph(4), max_k=4)
-        assert (report["chi"], report["ch"], report["atn"]) == (4, 4, 4)
+        (star_graph(4), (4, 4, 4)),
+    ],
+    ids=["P3", "K3", "C4", "K1,4"],
+)
+def test_line_graph_chi_ch_atn(g, expected):
+    lg = line_graph(g)
+    atn, _ = atn_from_polynomial(lg)
+    assert (chromatic_number(lg), choice_number(lg, max_k=4), atn) == expected
