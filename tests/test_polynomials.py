@@ -210,6 +210,49 @@ class TestLexFirstSearch:
         assert any(last[y] < last[x] for x in range(g.n) for y in range(x + 1, g.n))
         self.assert_matches_whole_expansion(g)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_complete_graphs(self, n):
+        # every vertex pair is an adjacent twin pair
+        self.assert_matches_whole_expansion(complete_graph(n))
+
+    def test_complete_tripartite(self):
+        # K2,2,2: each part is a non-adjacent twin pair
+        parts = [(0, 1), (2, 3), (4, 5)]
+        edges = [(u, v) for i, a in enumerate(parts) for b in parts[i + 1 :] for u in a for v in b]
+        self.assert_matches_whole_expansion(Graph(6, edges))
+
+    @pytest.mark.parametrize("clone_edge", [False, True])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cloned_vertex(self, seed, clone_edge):
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        base = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        v = rng.randrange(n)
+        # vertex n copies v's neighbourhood, so v and n are twins
+        edges = list(base.edges) + [(x, n) for x in sorted(base.adjacency()[v])]
+        if clone_edge:
+            edges.append((v, n))
+        self.assert_matches_whole_expansion(relabelled(Graph(n + 1, edges), seed))
+
+    def test_k9(self):
+        value, cert = atn_from_polynomial(complete_graph(9))
+        assert value == 9
+        assert cert.exponents == tuple(range(9)) and cert.coefficient == 1
+
+    def test_k8_expansion_count(self, monkeypatch):
+        # 8,814 expansions without the twin rule
+        calls = 0
+        expand = polynomials.expand_capped
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return expand(*args, **kwargs)
+
+        monkeypatch.setattr(polynomials, "expand_capped", counting)
+        value, _ = atn_from_polynomial(complete_graph(8))
+        assert value == 8 and calls == 213
+
     def test_line_graph_of_petersen(self):
         g = line_graph(petersen_graph())
         value, cert = atn_from_polynomial(g)
