@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .coloring import CHOOSABLE_K_GUARD, CHOOSABLE_N_GUARD, is_k_choosable
@@ -143,9 +142,6 @@ def _cmd_choosable(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        raise ValueError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     overrides = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -169,7 +165,7 @@ def _cmd_verify(args) -> int:
             note = f" ({skips} skipped)" if skips else ""
             print(f"{status} {report['instance']}{note}")
 
-    reports = run_campaign(args.campaign, overrides=overrides, jobs=args.jobs, sink=sink)
+    reports = run_campaign(args.campaign, overrides=overrides, sink=sink)
     return EXIT_OK if campaign_passed(reports) else EXIT_CLAIM_FAILURE
 
 
@@ -241,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a claim-verification campaign")
     p.add_argument("campaign", choices=list(CAMPAIGNS))
     p.add_argument("--config", default=None, help="JSON file overriding campaign config")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-edges", type=int, default=None)
     p.add_argument("--max-terms", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)

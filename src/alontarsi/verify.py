@@ -360,9 +360,8 @@ def _duality_instances(cfg: dict) -> list[tuple[str, tuple]]:
 
 # Campaign name -> (default config, builder), where a builder maps a config
 # to [(instance id, payload)].  A payload is a module-level worker plus its
-# arguments, so it pickles for --jobs; the config itself never reaches a
-# worker.  Builders call catalogs and engines by module global, which the
-# bench tracer rebinds.
+# arguments; the config itself never reaches a worker.  Builders call
+# catalogs and engines by module global, which the bench tracer rebinds.
 _REGISTRY = {
     "thm1": (
         {"graphs": ["2K2", "C4", "K4"]},
@@ -420,19 +419,6 @@ def run_instance(name: str, iid: str, payload: tuple) -> dict:
     return report
 
 
-def _run_one(args):
-    return run_instance(*args)
-
-
-def _stream(reports, sink) -> list[dict]:
-    out = []
-    for report in reports:
-        out.append(report)
-        if sink:
-            sink(report)
-    return out
-
-
 def _typed_like(value, default) -> bool:
     """Exact JSON type of the default (true is not an int); a list's
     elements must have the types of the default's elements."""
@@ -441,15 +427,10 @@ def _typed_like(value, default) -> bool:
     return not isinstance(value, list) or {type(v) for v in value} <= {type(d) for d in default}
 
 
-def run_campaign(
-    name: str,
-    overrides: dict | None = None,
-    jobs: int = 1,
-    sink=None,
-) -> list[dict]:
-    """Run one campaign; returns reports in instance order.
+def run_campaign(name: str, overrides: dict | None = None, sink=None) -> list[dict]:
+    """Run one campaign in this process; returns reports in instance order.
 
-    sink, when given, receives each report dict as it completes (in order),
+    sink, when given, receives each report dict as soon as it is built,
     which is how the CLI streams JSON-lines.  Overrides must name keys of
     the campaign's defaults, with values typed like them; None leaves a key
     at its default.
@@ -463,10 +444,10 @@ def run_campaign(
         if value is not None and not _typed_like(value, cfg[key]):
             raise ValueError(f"{name} config {key!r} must be typed like {cfg[key]!r}: {value!r}")
     cfg.update({k: v for k, v in overrides.items() if v is not None})
-    args = [(name, iid, payload) for iid, payload in campaign_instances(name, cfg)]
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            return _stream(pool.imap(_run_one, args), sink)
-    return _stream(map(_run_one, args), sink)
+    reports = []
+    for iid, payload in campaign_instances(name, cfg):
+        report = run_instance(name, iid, payload)
+        reports.append(report)
+        if sink:
+            sink(report)
+    return reports

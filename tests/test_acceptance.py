@@ -88,12 +88,26 @@ def test_criterion_05_line_graph_bound(thm2_reports):
 
 
 def test_criterion_06_embedding_pipeline(thm2_reports):
-    """Embeddings are Delta-regular hosts containing G; augmentations are
-    class 1; host factorizability is reported (a False would be a finding,
-    not a test failure)."""
-    embeds = [r for r in thm2_reports if "host" in r["values"]]
-    augments = [r for r in thm2_reports if "attachment" in r["values"]]
-    ok = len(embeds) > 0 and len(augments) > 0
+    """Every class-1 graph of the embed family (n <= EMBED_MAX_N, m <=
+    EMBED_MAX_EDGES) embeds in a Delta-regular host containing it, and every
+    class-2 one has a class-1 augmentation; host factorizability is reported
+    (a False would be a finding, not a test failure)."""
+    from alontarsi.verify import EMBED_MAX_EDGES, EMBED_MAX_N
+
+    # a guard-"SKIP" report holds only "guard" in its values, and fails
+    skipped = sum("class" not in r["values"] for r in thm2_reports)
+    family = [
+        r
+        for r in thm2_reports
+        if "class" in r["values"]
+        and r["values"]["graph"]["n"] <= EMBED_MAX_N
+        and len(r["values"]["graph"]["edges"]) <= EMBED_MAX_EDGES
+    ]
+    embeds = [r for r in family if r["values"]["class"] == 1]
+    augments = [r for r in family if r["values"]["class"] == 2]
+    ok = not skipped and len(embeds) > 0 and len(augments) > 0
+    ok = ok and all("host" in r["values"] for r in embeds)
+    ok = ok and all("attachment" in r["values"] for r in augments)
     findings = []
     for r in embeds:
         ok = ok and r["claims"]["host_regular"] is True
@@ -105,7 +119,7 @@ def test_criterion_06_embedding_pipeline(thm2_reports):
     for r in augments:
         ok = ok and r["claims"]["augment_max_degree"] is True
         ok = ok and r["claims"]["augment_class1"] is True
-    detail = f"{len(embeds)} embeddings, {len(augments)} augmentations"
+    detail = f"{len(embeds)} embeddings, {len(augments)} augmentations, {skipped} skipped"
     if findings:
         detail += f"; findings: {findings}"
     _finish(6, "thm2-embeddings", ok, detail)

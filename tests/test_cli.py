@@ -269,12 +269,6 @@ class TestVerify:
         b = strip(run_campaign("thm4"))
         assert a == b
 
-    def test_jobs_match_sequential(self):
-        def strip(reports):
-            return [{k: v for k, v in r.items() if k != "wall_ms"} for r in reports]
-
-        assert strip(run_campaign("cor3", jobs=2)) == strip(run_campaign("cor3"))
-
     def test_thm2_hosts_fit_the_host_guard(self, thm2_reports):
         # a base with n <= 5 has Delta <= 4, so its host has at most 4 copies
         # and 20 vertices: EMBED_HOST_GUARD never trips and every host is
@@ -478,17 +472,18 @@ class TestVerifyGuards:
         assert main(["verify", "thm1", "--config", cfg]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
-    @pytest.mark.parametrize("jobs", ["3", "0", "-3"])
+    @pytest.mark.parametrize("jobs", ["2", "3", "0", "-3"])
     def test_jobs_out_of_range_rejected(self, jobs, monkeypatch, capsys):
+        # campaigns run in one process: --jobs is no option at all
         import multiprocessing
-        import os
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        assert main(["verify", "cor3", "--jobs", jobs]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "cor3", "--jobs", jobs])
+        assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
 
@@ -519,26 +514,46 @@ class TestReportAggregation:
             default_config("nope")
 
 
+def readme_synopsis() -> dict[str, str]:
+    """Subcommand -> its usage lines under README's "Command line" heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    lines_of = {}
+    current = None
+    for line in block.splitlines():
+        if line.startswith("alontarsi "):
+            current = line.split()[1]
+        if current is not None and line.strip():
+            lines_of.setdefault(current, []).append(line)
+    return {name: "\n".join(lines) for name, lines in lines_of.items()}
+
+
+def parser_options() -> dict[str, list[list[str]]]:
+    """Subcommand -> the option strings of each option, -h/--help left out."""
+    sub = next(a for a in cli.build_parser()._actions if a.choices and a.dest == "command")
+    return {
+        name: [a.option_strings for a in parser._actions if a.option_strings and a.dest != "help"]
+        for name, parser in sub.choices.items()
+    }
+
+
 class TestReadmeSynopsis:
     def test_every_option_is_listed(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("## Command line", 1)[1]
-        block = section.split("```", 2)[1]
-        lines_of = {}
-        current = None
-        for line in block.splitlines():
-            if line.startswith("alontarsi "):
-                current = line.split()[1]
-            if current is not None and line.strip():
-                lines_of.setdefault(current, []).append(line)
-        sub = next(a for a in cli.build_parser()._actions if a.choices and a.dest == "command")
-        for name, parser in sub.choices.items():
-            text = "\n".join(lines_of.get(name, []))
+        synopsis = readme_synopsis()
+        for name, options in parser_options().items():
+            text = synopsis.get(name, "")
             assert text, f"README synopsis lacks '{name}'"
-            for action in parser._actions:
-                if not action.option_strings or action.dest == "help":
-                    continue
+            for strings in options:
                 assert any(
-                    re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", text)
-                    for opt in action.option_strings
-                ), f"README synopsis of '{name}' lacks {action.option_strings}"
+                    re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", text) for opt in strings
+                ), f"README synopsis of '{name}' lacks {strings}"
+
+    def test_no_option_the_parser_lacks(self):
+        synopsis = readme_synopsis()
+        options = parser_options()
+        assert set(synopsis) == set(options)
+        for name, text in synopsis.items():
+            named = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", text))
+            known = {opt for strings in options[name] for opt in strings}
+            assert named <= known, f"README synopsis of '{name}' names {sorted(named - known)}"

@@ -26,6 +26,31 @@ def relative_imports(path: Path) -> list[str]:
     return found
 
 
+def absolute_imports(path: Path) -> list[str]:
+    """Modules named by absolute imports, at module level or nested in a
+    function; `from a import b` names both a and a.b."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module)
+            found.extend(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_no_module_starts_processes_or_threads():
+    """Campaigns and engines run in one process, on one thread."""
+    banned = ("multiprocessing", "subprocess", "concurrent.futures", "threading")
+    offenders = [
+        (path.name, module)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for module in absolute_imports(path)
+        if any(module == b or module.startswith(b + ".") for b in banned)
+    ]
+    assert offenders == []
+
+
 @pytest.mark.parametrize("name", ["polynomials.py", "orientations.py", "coloring.py"])
 def test_oracle_imports_only_graphs_and_errors(name):
     imports = relative_imports(PACKAGE / name)
