@@ -3,9 +3,11 @@
 The canonical key of a connected graph is the lexicographically largest
 column-by-column adjacency encoding over all vertex orderings, found by a
 pruned ordering search (invariant-restricted roots, greedy column maxima with
-tie branching, and twin collapsing).  Disconnected graphs key on the sorted
-multiset of component keys.  Keys of isomorphic graphs are equal, keys of
-non-isomorphic graphs differ, and everything here is deterministic.
+tie branching, twin collapsing, and a prefix bound that drops a branch whose
+columns are already lex-smaller than the best leaf's).  Disconnected graphs
+key on the sorted multiset of component keys.  Keys of isomorphic graphs are
+equal, keys of non-isomorphic graphs differ, and everything here is
+deterministic.
 
 Desk scale only: the catalogs below top out around nine vertices per
 component, which is all the verification campaigns need.
@@ -16,10 +18,10 @@ from __future__ import annotations
 from .errors import SizeGuardExceeded
 from .graphs import Graph, disjoint_union
 
-# all_graphs grows its 1,252 graphs in about 3 s at n = 7; it refuses n past this
+# all_graphs grows its 1,252 graphs in about 2 s at n = 7; it refuses n past this
 ALL_GRAPHS_GUARD = 7
 # a grown catalog refuses to keep more graphs than this; each extra edge of
-# connected_graphs multiplies its count by about 3.3 and its time by about 5
+# connected_graphs multiplies its count by about 3.2 and its time by about 4
 CATALOG_GUARD = 5000
 
 
@@ -33,6 +35,18 @@ def _invariants(adj: list[frozenset]) -> list[tuple]:
 
 def _are_twins(adj, u: int, w: int) -> bool:
     return adj[u] - {w} == adj[w] - {u}
+
+
+def _first_twins(adj) -> list[int]:
+    """Each vertex's first twin: the smallest member of its twin class.
+
+    Being twins is an equivalence relation, since no vertex has both a true
+    twin and a false twin, so every permutation of a class is an automorphism.
+    """
+    first = list(range(len(adj)))
+    for v in range(len(adj)):
+        first[v] = next((u for u in range(v) if first[u] == u and _are_twins(adj, u, v)), v)
+    return first
 
 
 def _connected_key(g: Graph) -> tuple:
@@ -74,14 +88,16 @@ def _connected_key(g: Graph) -> tuple:
                 cands = [w]
             elif col == top:
                 cands.append(w)
-        for w in collapse(cands):
-            order.append(w)
-            placed.add(w)
-            cols.append(top)
-            extend(order, placed, cols)
-            cols.pop()
-            placed.remove(w)
-            order.pop()
+        cols.append(top)
+        # a branch already lex-smaller than the best leaf cannot finish larger
+        if best is None or cols >= best[:i]:
+            for w in collapse(cands):
+                order.append(w)
+                placed.add(w)
+                extend(order, placed, cols)
+                placed.remove(w)
+                order.pop()
+        cols.pop()
 
     for r in collapse(roots):
         extend([r], {r}, [])
@@ -159,6 +175,14 @@ def _grown_catalog(
     attaches a pendant vertex.  Growth goes level by level and keeps the
     first graph found per key; pairs come back sorted by (m, n, key).
     Keeping more than CATALOG_GUARD graphs raises SizeGuardExceeded.
+
+    Only one move per twin orbit is keyed: a join of two classes' first
+    members, a join of one class's first two members, or a pendant at a
+    class's first member.  Permuting a twin class is an automorphism, and
+    it carries every skipped move to a kept one that comes earlier in the
+    move list, so the skipped move's key was always already seen: the first
+    graph found per key, the level order and the guard's trip point are
+    those of keying every move.
     """
     seen = {key(start): start}
     level = [start]
@@ -166,10 +190,20 @@ def _grown_catalog(
         nxt = []
         for g in level:
             adj = g.adjacency()
-            joins = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if v not in adj[u]]
+            first = _first_twins(adj)
+            joins = [
+                (u, v)
+                for u in range(g.n)
+                if first[u] == u
+                for v in range(u + 1, g.n)
+                if v not in adj[u]
+                and (first[v] == v or (first[v] == u and first.index(u, u + 1) == v))
+            ]
             cands = [Graph(g.n, g.edges + (e,)) for e in joins]
             if max_vertices is None or g.n < max_vertices:
-                cands += [Graph(g.n + 1, g.edges + ((u, g.n),)) for u in range(g.n)]
+                cands += [
+                    Graph(g.n + 1, g.edges + ((u, g.n),)) for u in range(g.n) if first[u] == u
+                ]
             for h in cands:
                 k = key(h)
                 if k not in seen:

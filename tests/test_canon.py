@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -21,7 +21,13 @@ from alontarsi import (
     path_graph,
     star_graph,
 )
-from alontarsi.canon import ALL_GRAPHS_GUARD
+from alontarsi.canon import (
+    ALL_GRAPHS_GUARD,
+    _are_twins,
+    _connected_catalog,
+    _connected_key,
+    _invariants,
+)
 
 
 @cache
@@ -38,6 +44,83 @@ def _graphs_by_edge_subsets(max_n):
                 seen.setdefault(canonical_key(g), g)
         out.extend(g for _, g in sorted(seen.items(), key=lambda kg: (kg[1].m, kg[0])))
     return tuple(out)
+
+
+def _unpruned_connected_key(g):
+    """_connected_key without the prefix bound: every greedy branch runs to
+    its leaf, and the key is the lex-largest leaf."""
+    n = g.n
+    if n <= 1:
+        return (n,)
+    adj = list(g.adjacency())
+    inv = _invariants(adj)
+    best_inv = max(inv)
+    roots = [v for v in range(n) if inv[v] == best_inv]
+
+    def collapse(cands):
+        kept = []
+        for c in cands:
+            if not any(_are_twins(adj, c, k) for k in kept):
+                kept.append(c)
+        return kept
+
+    best = None
+
+    def extend(order, placed, cols):
+        nonlocal best
+        i = len(order)
+        if i == n:
+            if best is None or cols > best:
+                best = list(cols)
+            return
+        cands = []
+        top = -1
+        for w in range(n):
+            if w in placed:
+                continue
+            col = 0
+            for pos, p in enumerate(order):
+                if w in adj[p]:
+                    col |= 1 << pos
+            if col > top:
+                top = col
+                cands = [w]
+            elif col == top:
+                cands.append(w)
+        for w in collapse(cands):
+            order.append(w)
+            placed.add(w)
+            cols.append(top)
+            extend(order, placed, cols)
+            cols.pop()
+            placed.remove(w)
+            order.pop()
+
+    for r in collapse(roots):
+        extend([r], {r}, [])
+    return (n, *best)
+
+
+def _grown_by_every_move(start, max_edges, key, max_vertices):
+    """Catalog growth that keys every join and every pendant, with no twin
+    rule: (key, graph) pairs, first graph per key, sorted by (m, n, key)."""
+    seen = {key(start): start}
+    level = [start]
+    for _ in range(max_edges):
+        nxt = []
+        for g in level:
+            adj = g.adjacency()
+            joins = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if v not in adj[u]]
+            cands = [Graph(g.n, g.edges + (e,)) for e in joins]
+            if max_vertices is None or g.n < max_vertices:
+                cands += [Graph(g.n + 1, g.edges + ((u, g.n),)) for u in range(g.n)]
+            for h in cands:
+                k = key(h)
+                if k not in seen:
+                    seen[k] = h
+                    nxt.append(h)
+        level = nxt
+    return sorted(seen.items(), key=lambda kg: (kg[1].m, kg[1].n, kg[0]))
 
 
 class TestCanonicalKey:
@@ -78,8 +161,11 @@ class TestCanonicalKey:
 
 class TestConnectedCatalog:
     def test_counts_by_edges(self):
-        counts = Counter(g.m for g in connected_graphs(8))
-        assert dict(counts) == {0: 1, 1: 1, 2: 1, 3: 3, 4: 5, 5: 12, 6: 30, 7: 79, 8: 227}
+        # OEIS A002905
+        counts = Counter(g.m for g in connected_graphs(9))
+        assert dict(counts) == {
+            0: 1, 1: 1, 2: 1, 3: 3, 4: 5, 5: 12, 6: 30, 7: 79, 8: 227, 9: 710
+        }
 
     def test_tree_counts(self):
         # connected graphs with m = n-1 edges are trees
@@ -105,6 +191,41 @@ class TestConnectedCatalog:
         a = [g.edges for g in connected_graphs(6)]
         b = [g.edges for g in connected_graphs(6)]
         assert a == b
+
+
+class TestPrunesKeepOutputs:
+    """The prefix bound and the twin-orbit rule only skip work: keys, stored
+    graphs and their order match the search and growth without them."""
+
+    def test_keys_match_unpruned_search(self):
+        rng = random.Random(9)
+        for _, g in _connected_catalog(9):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            for h in (g, g.relabel(perm)):
+                assert _connected_key(h) == _unpruned_connected_key(h)
+
+    def test_connected_catalog_matches_growth_by_every_move(self):
+        by_every_move = _grown_by_every_move(Graph(1, []), 8, _unpruned_connected_key, None)
+        assert [(k, g.n, g.edges) for k, g in _connected_catalog(8)] == [
+            (k, g.n, g.edges) for k, g in by_every_move
+        ]
+
+    def test_all_graphs_matches_growth_by_every_move(self):
+        by_every_move = [
+            (g.n, g.edges)
+            for n in range(1, 7)
+            for _, g in _grown_by_every_move(Graph(n, []), n * (n - 1) // 2, canonical_key, n)
+        ]
+        assert [(g.n, g.edges) for g in all_graphs(6)] == by_every_move
+
+    def test_twins_are_transitive(self):
+        # the twin-orbit rule needs twin classes, i.e. an equivalence relation
+        for g in all_graphs(6):
+            adj = g.adjacency()
+            for u, v, w in permutations(range(g.n), 3):
+                if _are_twins(adj, u, v) and _are_twins(adj, v, w):
+                    assert _are_twins(adj, u, w)
 
 
 class TestAllGraphs:
