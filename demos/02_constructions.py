@@ -16,12 +16,10 @@ from alontarsi import (
     edge_coloring,
     line_graph,
     one_factorization,
-    path_graph,
     petersen_graph,
     regular_embed_class1,
     star_graph,
     subdivision_graph,
-    to_dot,
     to_edge_list_text,
     total_graph,
 )
@@ -42,11 +40,9 @@ T = total_graph(cycle_graph(4))
 print(f"T(C4): {T.n} vertices, {T.m} edges, degrees {set(T.degrees())}")
 print("an original vertex has degree 2*deg, an edge-vertex deg(u)+deg(v)")
 
-# graphs serialize to a plain edge-list format and to DOT
+# graphs serialize to a plain edge-list format
 print("\nedge-list serialization of T(K2):")
 print(to_edge_list_text(total_graph(complete_graph(2))), end="")
-print("DOT of P3:")
-print(to_dot(path_graph(3)), end="")
 
 # ── one-factorizations ─────────────────────────────────────────────────
 f = one_factorization(K4)

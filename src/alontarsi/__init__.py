@@ -56,7 +56,6 @@ from .graphs import (
     regular_embed_class1,
     star_graph,
     subdivision_graph,
-    to_dot,
     to_edge_list_text,
     total_graph,
 )

@@ -16,7 +16,7 @@ component, which is all the verification campaigns need.
 from __future__ import annotations
 
 from .errors import SizeGuardExceeded
-from .graphs import Graph, disjoint_union
+from .graphs import Graph, disjoint_union, first_twins
 
 # all_graphs grows its 1,252 graphs in about 2 s at n = 7; it refuses n past this
 ALL_GRAPHS_GUARD = 7
@@ -33,22 +33,6 @@ def _invariants(adj: list[frozenset]) -> list[tuple]:
     return inv
 
 
-def _are_twins(adj, u: int, w: int) -> bool:
-    return adj[u] - {w} == adj[w] - {u}
-
-
-def _first_twins(adj) -> list[int]:
-    """Each vertex's first twin: the smallest member of its twin class.
-
-    Being twins is an equivalence relation, since no vertex has both a true
-    twin and a false twin, so every permutation of a class is an automorphism.
-    """
-    first = list(range(len(adj)))
-    for v in range(len(adj)):
-        first[v] = next((u for u in range(v) if first[u] == u and _are_twins(adj, u, v)), v)
-    return first
-
-
 def _connected_key(g: Graph) -> tuple:
     n = g.n
     if n <= 1:
@@ -58,12 +42,13 @@ def _connected_key(g: Graph) -> tuple:
     best_inv = max(inv)
     roots = [v for v in range(n) if inv[v] == best_inv]
 
+    first = first_twins(adj)
+
     def collapse(cands: list[int]) -> list[int]:
-        kept: list[int] = []
+        kept: dict[int, int] = {}  # the first candidate per twin class
         for c in cands:
-            if not any(_are_twins(adj, c, k) for k in kept):
-                kept.append(c)
-        return kept
+            kept.setdefault(first[c], c)
+        return list(kept.values())
 
     best: list[int] | None = None
 
@@ -190,7 +175,7 @@ def _grown_catalog(
         nxt = []
         for g in level:
             adj = g.adjacency()
-            first = _first_twins(adj)
+            first = first_twins(adj)
             joins = [
                 (u, v)
                 for u in range(g.n)
@@ -272,15 +257,16 @@ def graphs_with_edge_budget(max_edges: int) -> list[Graph]:
     """
     comps = [(key, g) for key, g in _connected_catalog(max_edges) if g.m >= 1]
     out: list[tuple[tuple, Graph]] = []
-
-    def rec(start: int, budget: int, acc: Graph, keys: list[tuple]):
+    # an explicit stack, not a recursive closure: the closure's reference
+    # cycle would keep the whole catalog alive until a full collection
+    stack = [(0, max_edges, Graph(0, []), [])]
+    while stack:
+        start, budget, acc, keys = stack.pop()
         out.append((_union_key(keys), acc))
         for i in range(start, len(comps)):
             key, part = comps[i]
             if part.m > budget:
                 break  # comps is sorted by m, so no later component fits
-            rec(i, budget - part.m, disjoint_union(acc, part), keys + [key])
-
-    rec(0, max_edges, Graph(0, []), [])
+            stack.append((i, budget - part.m, disjoint_union(acc, part), keys + [key]))
     out.sort(key=lambda kg: (kg[1].m, kg[1].n, kg[0]))
     return [g for _, g in out]

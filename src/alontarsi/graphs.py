@@ -57,9 +57,6 @@ class Graph:
             adj[v].add(u)
         return tuple(frozenset(s) for s in adj)
 
-    def degree(self, v: int) -> int:
-        return self.degrees()[v]
-
     def degrees(self) -> tuple[int, ...]:
         degs = [0] * self.n
         for u, v in self.edges:
@@ -195,6 +192,22 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     """a on 0..a.n-1, then b shifted to a.n..a.n+b.n-1."""
     shifted = [(a.n + u, a.n + v) for u, v in b.edges]
     return Graph(a.n + b.n, list(a.edges) + shifted)
+
+
+def first_twins(adj) -> list[int]:
+    """Each vertex's first twin: the smallest u with N(u) - {v} == N(v) - {u},
+    so v itself when v has no smaller twin.
+
+    Being twins is an equivalence relation, since no vertex has both a true
+    twin and a false twin, so every permutation of a class is an automorphism
+    and two vertices are twins exactly when their first twins are equal.
+    """
+    first = list(range(len(adj)))
+    for v in range(len(adj)):
+        first[v] = next(
+            (u for u in range(v) if first[u] == u and adj[u] - {v} == adj[v] - {u}), v
+        )
+    return first
 
 
 def round_robin_factorization(c: int) -> list[list[Edge]]:
@@ -445,12 +458,3 @@ def parse_edge_list_text(text: str) -> Graph:
             raise ValueError(f"bad edge line: {ln!r}")
         edges.append((int(parts[0]), int(parts[1])))
     return Graph(n, edges)
-
-
-def to_dot(g: Graph, name: str = "G") -> str:
-    """Graphviz DOT text for visual inspection."""
-    lines = [f"graph {name} {{"]
-    lines.extend(f'  {v} [label="{v}"];' for v in range(g.n))
-    lines.extend(f"  {u} -- {v};" for u, v in g.edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -120,12 +120,8 @@ def eulerian_census(d: Orientation, max_edges: int = CENSUS_GUARD) -> EulerianCe
     if m > max_edges:
         raise SizeGuardExceeded(f"census guard: m={m} > {max_edges}")
     arcs = d.arcs()
-    n = d.graph.n
-    rem = [0] * n
-    for t, h in arcs:
-        rem[t] += 1
-        rem[h] += 1
-    bal = [0] * n
+    rem = list(d.graph.degrees())
+    bal = [0] * d.graph.n
     counts = [0, 0]
 
     def rec(i: int, parity: int):
@@ -171,10 +167,7 @@ def atn_from_orientations(
         raise SizeGuardExceeded(f"orientation guard: m={m} > {max_edges}")
     edges = g.edges
     out = [0] * g.n
-    rem = [0] * g.n  # undecided edges at each vertex
-    for u, v in edges:
-        rem[u] += 1
-        rem[v] += 1
+    rem = list(g.degrees())  # undecided edges at each vertex
     best_value = m + 2
     best: OrientationCertificate | None = None
     bits = [0] * m
@@ -232,7 +225,7 @@ def orientation_census_table(g: Graph) -> tuple[list[int], list[int]]:
         raise SizeGuardExceeded(f"census table guard: m={m} > {CENSUS_TABLE_GUARD}")
     steps = [(u, v, 1 << i) for i, (u, v) in enumerate(g.edges)]
     full = (1 << m) - 1
-    rem = [sum(x in e for e in g.edges) for x in range(g.n)]  # undecided edges at x
+    rem = list(g.degrees())  # undecided edges at each vertex
     bal = [0] * g.n
     even = [0] * (1 << m)
     odd = [0] * (1 << m)

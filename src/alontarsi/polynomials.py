@@ -45,7 +45,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import SizeGuardExceeded
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, first_twins
 
 DEFAULT_TERM_GUARD = 10**7
 
@@ -78,9 +78,6 @@ class SparsePolynomial:
         for key, coeff in self.terms.items():
             yield self.unpack(key), coeff
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def num_terms(self) -> int:
         return len(self.terms)
 
@@ -97,11 +94,6 @@ class SparsePolynomial:
                     term *= x**e
             total += term
         return total
-
-    def dump_lines(self) -> list[str]:
-        """Debug/oracle format: 'coeff e_0 ... e_{n-1}', sorted by exponents."""
-        rows = sorted(self.items())
-        return [" ".join([str(c)] + [str(e) for e in exps]) for exps, c in rows]
 
     def __repr__(self):
         return f"SparsePolynomial(nvars={self.nvars}, terms={len(self.terms)})"
@@ -206,11 +198,12 @@ def _finishing_blocks(g: Graph) -> list[tuple[tuple[Edge, ...], int]]:
 def _twin_pairs(g: Graph) -> list[tuple[int, int, bool]]:
     """Every (u, w, adjacent) with u < w and N(u) - {w} == N(w) - {u}."""
     adj = g.adjacency()
+    first = first_twins(adj)
     return [
         (u, w, w in adj[u])
         for u in range(g.n)
         for w in range(u + 1, g.n)
-        if adj[u] - {w} == adj[w] - {u}
+        if first[u] == first[w]
     ]
 
 

@@ -66,15 +66,14 @@ def _graph_descriptor(g: Graph) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# per-instance workers: each takes its payload's arguments and returns
-# (claims, values)
+# per-instance workers: each takes the report's claims and values dicts plus
+# its payload's arguments, and writes each claim and value once it is decided
 # ---------------------------------------------------------------------------
 
 
-def _run_thm1(gname: str) -> tuple[dict, dict]:
+def _run_thm1(claims: dict, values: dict, gname: str) -> None:
     g = named_graph(gname)
-    claims: dict = {}
-    values: dict = {"graph": _graph_descriptor(g), "delta": g.max_degree()}
+    values.update(graph=_graph_descriptor(g), delta=g.max_degree())
     factorization = None
     if g.is_regular() and g.n % 2 == 0:
         factorization = one_factorization(g)
@@ -84,7 +83,7 @@ def _run_thm1(gname: str) -> tuple[dict, dict]:
     if not applicable:
         claims["factor_structure"] = "SKIP"
         claims["atn_line_equals_delta"] = "SKIP"
-        return claims, values
+        return
     d = g.max_degree()
     lg = line_graph(g)
     classes = [sorted(map(g.edges.index, factor)) for factor in factorization.factors]
@@ -109,20 +108,13 @@ def _run_thm1(gname: str) -> tuple[dict, dict]:
     claims["factor_structure"] = ok_structure
     claims["pair_all_ones_monomial"] = pair_all_ones
     atn_p, cert = atn_from_polynomial(lg)
-    try:
-        atn_o, _ = atn_from_orientations(lg)
-    except SizeGuardExceeded as exc:
-        # the finished claims stand; a wrong polynomial value is still False
-        claims["atn_line_equals_delta"] = "SKIP" if atn_p == d else False
-        values["guard"] = str(exc)
-    else:
-        claims["atn_line_equals_delta"] = atn_p == d and atn_o == d
     values["atn_line"] = atn_p
     values["certificate"] = cert.to_json_obj()
     # the statement's n-1 form agrees with the proof's Delta form only when
     # Delta = n-1; recorded, not gated
     values["statement_form_agrees"] = d == g.n - 1
-    return claims, values
+    # a wrong polynomial value is False without asking the orientation engine
+    claims["atn_line_equals_delta"] = atn_p == d and atn_from_orientations(lg)[0] == d
 
 
 # thm2 checks the embedding and augmentation constructions on graphs this
@@ -133,15 +125,11 @@ EMBED_MAX_EDGES = 6
 EMBED_HOST_GUARD = 24
 
 
-def _run_thm2(g: Graph) -> tuple[dict, dict]:
-    claims: dict = {}
-    values: dict = {"graph": _graph_descriptor(g)}
+def _run_thm2(claims: dict, values: dict, g: Graph) -> None:
     d = g.max_degree()
-    cls = chromatic_index_class(g)
-    values["delta"] = d
-    values["class"] = cls
-    atn, _ = atn_from_polynomial(line_graph(g))
-    values["atn_line"] = atn
+    values.update(graph=_graph_descriptor(g), delta=d)
+    cls = values["class"] = chromatic_index_class(g)
+    atn = values["atn_line"] = atn_from_polynomial(line_graph(g))[0]
     claims["atn_line_le_delta_plus_1"] = atn <= d + 1
     if cls == 1:
         claims["class1_atn_line_equals_delta"] = atn == d
@@ -162,13 +150,11 @@ def _run_thm2(g: Graph) -> tuple[dict, dict]:
         values["attachment"] = attach
         claims["augment_max_degree"] = augmented.max_degree() == d + 1
         claims["augment_class1"] = chromatic_index_class(augmented) == 1
-    return claims, values
 
 
-def _run_cor3(gname: str, max_terms: int) -> tuple[dict, dict]:
+def _run_cor3(claims: dict, values: dict, gname: str, max_terms: int) -> None:
     g = named_graph(gname)
-    claims: dict = {}
-    values: dict = {"graph": _graph_descriptor(g), "delta": g.max_degree()}
+    values.update(graph=_graph_descriptor(g), delta=g.max_degree())
     total = total_graph(g)
     values["total"] = {"n": total.n, "m": total.m}
     half_orig, _ = total.induced(range(g.n))
@@ -181,18 +167,17 @@ def _run_cor3(gname: str, max_terms: int) -> tuple[dict, dict]:
     values["atn_total"] = atn
     values["certificate"] = cert.to_json_obj()
     claims["atn_total_le_delta_plus_3"] = atn <= g.max_degree() + 3
-    return claims, values
 
 
-def _run_thm4(config) -> tuple[dict, dict]:
+def _run_thm4(claims: dict, values: dict, config) -> None:
     rep = theorem4_certify(config)
-    claims = {k: rep[k] for k in ("engines_agree", "conclusion_holds")}
-    values = {k: rep[k] for k in ("config", "atn", "caseA", "caseB", "applicable",
-                                  "oversized_d_components", "certificate")}
-    return claims, values
+    claims.update((k, rep[k]) for k in ("engines_agree", "conclusion_holds"))
+    values.update((k, rep[k]) for k in ("config", "atn", "caseA", "caseB", "applicable",
+                                        "oversized_d_components", "certificate"))
 
 
-def _run_duality_census(g: Graph) -> tuple[dict, dict]:
+def _run_duality_census(claims: dict, values: dict, g: Graph) -> None:
+    values["graph"] = _graph_descriptor(g)
     even, odd = orientation_census_table(g)
     poly = full_expansion(g)
     # keys[d] is the packed outdegree vector of orientation d.  Orientation 0
@@ -204,52 +189,36 @@ def _run_duality_census(g: Graph) -> tuple[dict, dict]:
         step = unit[v] - unit[u]
         keys += [key + step for key in keys]
     diffs = [e - o for e, o in zip(even, odd)]
-    claims = {
-        "census_matches_coefficients": all(
-            abs(poly.terms.get(key, 0)) == abs(diff) for key, diff in zip(keys, diffs)
-        ),
-        # orientation full ^ d = full - d reverses every arc of d
-        "arc_reversal_symmetric": all(
-            abs(a) == abs(b) for a, b in zip(diffs, reversed(diffs))
-        ),
-    }
-    values = {
-        "graph": _graph_descriptor(g),
-        "orientations": len(diffs),
-        "alon_tarsi_orientations": sum(1 for diff in diffs if diff),
-    }
-    return claims, values
+    claims["census_matches_coefficients"] = all(
+        abs(poly.terms.get(key, 0)) == abs(diff) for key, diff in zip(keys, diffs)
+    )
+    # orientation full ^ d = full - d reverses every arc of d
+    claims["arc_reversal_symmetric"] = all(
+        abs(a) == abs(b) for a, b in zip(diffs, reversed(diffs))
+    )
+    values["orientations"] = len(diffs)
+    values["alon_tarsi_orientations"] = sum(1 for diff in diffs if diff)
 
 
-def _run_duality_engines(g: Graph) -> tuple[dict, dict]:
+def _run_duality_engines(claims: dict, values: dict, g: Graph) -> None:
+    values["graph"] = _graph_descriptor(g)
     atn_p, cert_p = atn_from_polynomial(g)
+    values["atn"] = atn_p
     atn_o, cert_o = atn_from_orientations(g)
-    monomial_ok = (
+    values["certificates"] = {"poly": cert_p.to_json_obj(), "orient": cert_o.to_json_obj()}
+    claims["engines_agree"] = atn_p == atn_o
+    claims["monomial_certificate_sound"] = (
         max(cert_p.exponents, default=0) == atn_p - 1
         and cert_p.coefficient != 0
         and coefficient_of(g, cert_p.exponents) == cert_p.coefficient
     )
     orient = cert_o.orientation
     census = eulerian_census(orient)
-    orient_ok = (
+    claims["orientation_certificate_sound"] = (
         census.alon_tarsi
         and census == cert_o.census
         and max(orient.outdegrees(), default=0) == atn_o - 1
     )
-    claims = {
-        "engines_agree": atn_p == atn_o,
-        "monomial_certificate_sound": monomial_ok,
-        "orientation_certificate_sound": orient_ok,
-    }
-    values = {
-        "graph": _graph_descriptor(g),
-        "atn": atn_p,
-        "certificates": {
-            "poly": cert_p.to_json_obj(),
-            "orient": cert_o.to_json_obj(),
-        },
-    }
-    return claims, values
 
 
 # duality evaluates each polynomial at this many seeded points, on graphs with
@@ -258,7 +227,8 @@ EVAL_POINTS = 100
 EVAL_MAX_EDGES = 10
 
 
-def _run_duality_eval(g: Graph, seed: int) -> tuple[dict, dict]:
+def _run_duality_eval(claims: dict, values: dict, g: Graph, seed: int) -> None:
+    values.update(graph=_graph_descriptor(g), points=EVAL_POINTS)
     rng = random.Random(seed)
     poly = full_expansion(g)
     points_ok = True
@@ -270,38 +240,22 @@ def _run_duality_eval(g: Graph, seed: int) -> tuple[dict, dict]:
         if poly.evaluate(point) != direct:
             points_ok = False
             break
-    diag_ok = poly.evaluate([7] * g.n) == (0 if g.m else 1)
-    claims = {
-        "evaluation_matches_edge_product": points_ok,
-        "vanishes_at_equal_values": diag_ok,
-    }
-    values = {"graph": _graph_descriptor(g), "points": EVAL_POINTS}
-    return claims, values
+    claims["evaluation_matches_edge_product"] = points_ok
+    claims["vanishes_at_equal_values"] = poly.evaluate([7] * g.n) == (0 if g.m else 1)
 
 
 # sandwich lets choice_number scan one list size past CHOOSABLE_K_GUARD
 SANDWICH_MAX_K = 4
 
 
-def _run_sandwich(g: Graph) -> tuple[dict, dict]:
-    chi = chromatic_number(g)
-    atn, _ = atn_from_polynomial(g)
-    try:
-        ch = choice_number(g, max_k=SANDWICH_MAX_K)
-    except SizeGuardExceeded:
-        ch = None
-    claims = {
-        "chi_le_ch": "SKIP" if ch is None else chi <= ch,
-        "ch_le_atn": "SKIP" if ch is None else ch <= atn,
-        "chi_le_atn": chi <= atn,
-    }
-    values = {
-        "graph": _graph_descriptor(g),
-        "chi": chi,
-        "ch": "SKIP" if ch is None else ch,
-        "atn": atn,
-    }
-    return claims, values
+def _run_sandwich(claims: dict, values: dict, g: Graph) -> None:
+    values["graph"] = _graph_descriptor(g)
+    chi = values["chi"] = chromatic_number(g)
+    atn = values["atn"] = atn_from_polynomial(g)[0]
+    claims["chi_le_atn"] = chi <= atn
+    ch = values["ch"] = choice_number(g, max_k=SANDWICH_MAX_K)
+    claims["chi_le_ch"] = chi <= ch
+    claims["ch_le_atn"] = ch <= atn
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +263,9 @@ def _run_sandwich(g: Graph) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 
 # The claims each worker reports.  A guard that trips inside a worker turns
-# every one of them into "SKIP".  thm2's other claims depend on the graph's
-# chromatic class, which a tripped guard leaves unknown, so only the claim
-# every thm2 instance carries is listed.
+# every one of them not yet decided into "SKIP".  thm2's other claims depend
+# on the graph's chromatic class, so only the claim every thm2 instance
+# carries is listed.
 _CLAIMS = {
     _run_thm1: ("factor_structure", "pair_all_ones_monomial", "atn_line_equals_delta"),
     _run_thm2: ("atn_line_le_delta_plus_1",),
@@ -408,11 +362,15 @@ def campaign_instances(name: str, cfg: dict) -> list[tuple[str, tuple]]:
 def run_instance(name: str, iid: str, payload: tuple) -> dict:
     started = time.perf_counter()
     worker, *args = payload
+    claims: dict = {}
+    values: dict = {}
     try:
-        claims, values = worker(*args)
+        worker(claims, values, *args)
     except SizeGuardExceeded as exc:
-        claims = dict.fromkeys(_CLAIMS[worker], "SKIP")
-        values = {"guard": str(exc)}
+        # what the worker decided before the guard tripped stands
+        for claim in _CLAIMS[worker]:
+            claims.setdefault(claim, "SKIP")
+        values["guard"] = str(exc)
     report = {"campaign": name, "instance": iid, "claims": claims, "values": values}
     report["pass"] = report_passed(report)
     report["wall_ms"] = round((time.perf_counter() - started) * 1000.0, 3)

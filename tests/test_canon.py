@@ -23,11 +23,11 @@ from alontarsi import (
 )
 from alontarsi.canon import (
     ALL_GRAPHS_GUARD,
-    _are_twins,
     _connected_catalog,
     _connected_key,
     _invariants,
 )
+from alontarsi.graphs import first_twins
 
 
 @cache
@@ -44,6 +44,10 @@ def _graphs_by_edge_subsets(max_n):
                 seen.setdefault(canonical_key(g), g)
         out.extend(g for _, g in sorted(seen.items(), key=lambda kg: (kg[1].m, kg[0])))
     return tuple(out)
+
+
+def _are_twins(adj, u, w):
+    return adj[u] - {w} == adj[w] - {u}
 
 
 def _unpruned_connected_key(g):
@@ -226,6 +230,13 @@ class TestPrunesKeepOutputs:
             for u, v, w in permutations(range(g.n), 3):
                 if _are_twins(adj, u, v) and _are_twins(adj, v, w):
                     assert _are_twins(adj, u, w)
+
+    def test_first_twin_is_the_smallest_twin(self):
+        for g in all_graphs(6):
+            adj = g.adjacency()
+            first = first_twins(adj)
+            for v in range(g.n):
+                assert first[v] == min(u for u in range(g.n) if u == v or _are_twins(adj, u, v))
 
 
 class TestAllGraphs:

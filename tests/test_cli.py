@@ -8,10 +8,14 @@ import pytest
 
 from alontarsi import (
     Graph,
+    atn_from_polynomial,
     canon,
+    chromatic_index_class,
     cli,
+    coefficient_of,
     complete_bipartite,
     efl,
+    line_graph,
     named_graph,
     parse_edge_list_text,
     to_edge_list_text,
@@ -284,6 +288,23 @@ class TestVerify:
         for values in embeds:
             assert values["host_one_factorizable"] is True and values["host"]["n"] <= 20
 
+    def test_thm2_class1_equality_fails_on_k33(self):
+        # K3,3 is class 1 with Delta = 3, but the only monomial of L(K3,3)
+        # with every exponent <= 2 is the all-2 one, and its coefficient is
+        # ELS(3) - OLS(3) = 0: the gated equality is False there
+        g = named_graph("K3,3")
+        assert chromatic_index_class(g) == 1 and g.max_degree() == 3
+        lg = line_graph(g)
+        assert atn_from_polynomial(lg)[0] == 4
+        assert coefficient_of(lg, (2,) * 9) == 0
+        claims, values = {}, {}
+        verify._run_thm2(claims, values, g)
+        assert claims == {
+            "atn_line_le_delta_plus_1": True,
+            "class1_atn_line_equals_delta": False,
+        }
+        assert values["class"] == 1 and values["atn_line"] == 4
+
     def test_max_edges_shrinks_family(self, capsys):
         assert main(["verify", "thm2", "--max-edges", "3", "--format", "json"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -326,13 +347,20 @@ def _config_file(tmp_path, obj):
 
 class TestVerifyGuards:
     def test_memory_guard_gives_skip_reports(self, capsys):
+        # the term guard trips in the last claim's expansion: the claims
+        # decided before it stand, and only that claim is "SKIP"
         assert main(["verify", "cor3", "--max-terms", "4"]) == 0
         reports = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
         assert len(reports) == 6
         for rep in reports:
-            assert set(rep["claims"].values()) == {"SKIP"}
+            assert rep["claims"] == {
+                "half_square_original_is_base": True,
+                "half_square_edge_is_line": True,
+                "cross_edges_are_subdivision": True,
+                "atn_total_le_delta_plus_3": "SKIP",
+            }
             assert rep["pass"] is True
-            assert list(rep["values"]) == ["guard"]
+            assert sorted(rep["values"]) == ["delta", "graph", "guard", "total"]
             assert rep["values"]["guard"].endswith("exceed guard 4")
 
     def test_size_guard_skip_keeps_default_claim_keys(self, tmp_path, capsys):
@@ -344,7 +372,26 @@ class TestVerifyGuards:
         assert rep["claims"] == dict.fromkeys(
             ("factor_structure", "pair_all_ones_monomial", "atn_line_equals_delta"), "SKIP"
         )
-        assert rep["values"] == {"guard": "factorization guard: n=14 > 12"}
+        assert rep["values"] == {
+            "graph": {"n": 14, "edges": [list(e) for e in named_graph("C14").edges]},
+            "delta": 2,
+            "guard": "factorization guard: n=14 > 12",
+        }
+
+    def test_choosability_guard_skips_only_the_ch_claims(self, monkeypatch):
+        # K3 has a 2-core, so a list-size guard of 1 trips on it after chi
+        # and ATN are known; the graphs that peel to nothing are not skipped
+        monkeypatch.setattr(verify, "SANDWICH_MAX_K", 1)
+        reports = run_campaign("sandwich", overrides={"max_n": 3})
+        assert len(reports) == 7
+        *peeled, k3 = reports
+        for rep in peeled:
+            assert "SKIP" not in rep["claims"].values() and "guard" not in rep["values"]
+        assert k3["instance"] == "sandwich/006-3v3e"
+        assert k3["claims"] == {"chi_le_atn": True, "chi_le_ch": "SKIP", "ch_le_atn": "SKIP"}
+        assert k3["values"]["chi"] == 3 and k3["values"]["atn"] == 3 and "ch" not in k3["values"]
+        assert k3["values"]["guard"] == "choosability guard: core n=3 (max 6), k=2 (max 1)"
+        assert k3["pass"] is True
 
     def test_orientation_guard_skips_only_its_claim(self, monkeypatch):
         # L(2K4) has m = 24: the factorization claims finish, the orientation
@@ -359,18 +406,20 @@ class TestVerifyGuards:
         assert rep["values"]["atn_line"] == 3 and rep["pass"] is True
         assert rep["values"]["guard"] == "orientation guard: m=24 > 22"
 
-        # a polynomial value off Delta still fails without the other engine
+        # a polynomial value off Delta fails without running the other engine
         real = verify.atn_from_polynomial
         monkeypatch.setattr(verify, "atn_from_polynomial", lambda g: (real(g)[0] + 1, real(g)[1]))
         (rep,) = run_campaign("thm1", overrides=overrides)
         assert rep["claims"]["atn_line_equals_delta"] is False and rep["pass"] is False
+        assert "guard" not in rep["values"]
 
     def test_duality_census_checks_every_orientation(self, monkeypatch):
         # one nonzero coefficient of K4 goes missing: the identity claim
         # fails, and the other claim and the Alon-Tarsi count still cover
         # all 64 orientations
         g = named_graph("K4")
-        claims, values = verify._run_duality_census(g)
+        claims, values = {}, {}
+        verify._run_duality_census(claims, values, g)
         assert claims == {"census_matches_coefficients": True, "arc_reversal_symmetric": True}
         real = verify.full_expansion
 
@@ -380,7 +429,8 @@ class TestVerifyGuards:
             return poly
 
         monkeypatch.setattr(verify, "full_expansion", dropped)
-        bad_claims, bad_values = verify._run_duality_census(g)
+        bad_claims, bad_values = {}, {}
+        verify._run_duality_census(bad_claims, bad_values, g)
         assert bad_claims == {
             "census_matches_coefficients": False,
             "arc_reversal_symmetric": True,
@@ -427,7 +477,8 @@ class TestVerifyGuards:
     def test_duality_census_uses_the_table_guard(self):
         # the worker sees no campaign config: the census table's own guard
         # applies, and the empty graph has its one orientation censused
-        claims, _ = verify._run_duality_census(Graph(0, []))
+        claims = {}
+        verify._run_duality_census(claims, {}, Graph(0, []))
         assert claims == {"census_matches_coefficients": True, "arc_reversal_symmetric": True}
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):

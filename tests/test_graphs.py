@@ -22,7 +22,6 @@ from alontarsi import (
     regular_embed_class1,
     star_graph,
     subdivision_graph,
-    to_dot,
     to_edge_list_text,
     total_graph,
 )
@@ -89,8 +88,9 @@ class TestLineGraph:
         for g in [complete_graph(4), path_graph(5), star_graph(4), petersen_graph()]:
             lg = line_graph(g)
             assert lg.n == g.m
+            deg, ldeg = g.degrees(), lg.degrees()
             for i, (u, v) in enumerate(g.edges):
-                assert lg.degree(i) == g.degree(u) + g.degree(v) - 2
+                assert ldeg[i] == deg[u] + deg[v] - 2
 
     def test_empty_graph(self):
         lg = line_graph(Graph(3, []))
@@ -146,10 +146,11 @@ class TestTotalGraph:
         g = cycle_graph(4)
         t = total_graph(g)
         assert (t.n, t.m) == (8, 16)
+        deg, tdeg = g.degrees(), t.degrees()
         for v in range(g.n):
-            assert t.degree(v) == 2 * g.degree(v)
+            assert tdeg[v] == 2 * deg[v]
         for i, (u, v) in enumerate(g.edges):
-            assert t.degree(g.n + i) == g.degree(u) + g.degree(v)
+            assert tdeg[g.n + i] == deg[u] + deg[v]
 
     @pytest.mark.parametrize("g", [cycle_graph(4), complete_graph(3), path_graph(4)])
     def test_total_is_square_of_subdivision(self, g):
@@ -503,7 +504,3 @@ class TestSerialization:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_edge_list_text(text)
-
-    def test_dot(self):
-        dot = to_dot(path_graph(3))
-        assert dot.startswith("graph G {") and "0 -- 1;" in dot
