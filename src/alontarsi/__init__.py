@@ -68,6 +68,7 @@ from .orientations import (
     orientation_census_table,
 )
 from .polynomials import (
+    LowerBound,
     MonomialCertificate,
     SparsePolynomial,
     atn_from_polynomial,

@@ -84,8 +84,11 @@ def _connected_key(g: Graph) -> tuple:
                 order.pop()
         cols.pop()
 
-    for r in collapse(roots):
-        extend([r], {r}, [])
+    try:
+        for r in collapse(roots):
+            extend([r], {r}, [])
+    finally:
+        del extend  # extend holds itself through its closure; this breaks the cycle
     return (n, *best)
 
 
@@ -143,7 +146,10 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
                 image[u] = -1
         return False
 
-    return rec(0)
+    try:
+        return rec(0)
+    finally:
+        del rec  # rec holds itself through its closure; this breaks the cycle
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 Commands: construct, atn, census, choosable, verify, efl.
 Exit codes: 0 success, 1 claim failure, 2 bad input, 3 guard violation,
-4 internal cross-check mismatch.
+4 internal cross-check mismatch, 141 (128 + SIGPIPE) the reader of stdout
+closed it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .coloring import CHOOSABLE_K_GUARD, CHOOSABLE_N_GUARD, is_k_choosable
@@ -33,6 +35,7 @@ EXIT_CLAIM_FAILURE = 1
 EXIT_BAD_INPUT = 2
 EXIT_GUARD = 3
 EXIT_MISMATCH = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class CrossCheckMismatch(Exception):
@@ -264,6 +267,13 @@ def main(argv=None) -> int:
     except CrossCheckMismatch as exc:
         print(f"internal cross-check mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except BrokenPipeError:
+        # the reader is gone (`... | head -1`); point stdout at devnull so
+        # that the interpreter's final flush of what is buffered succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (InvalidConfig, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -71,7 +71,10 @@ def list_colorings(g: Graph, lists):
                 chosen[v] = c
                 yield from rec(v + 1)
 
-    return rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # rec holds itself through its closure; this breaks the cycle
 
 
 def proper_coloring_from_lists(g: Graph, lists) -> tuple[int, ...] | None:
@@ -153,7 +156,10 @@ def is_k_choosable(
             assigned.pop()
         return None
 
-    bad = search(0)
+    try:
+        bad = search(0)
+    finally:
+        del search  # search holds itself through its closure; this breaks the cycle
     if bad is None:
         return True, None
     # lift the core counterexample back to g: peeled vertices are always

@@ -317,7 +317,10 @@ def edge_coloring(g: Graph, k: int, max_edges: int = EDGE_COLOR_GUARD):
             colors[i] = -1
         return False
 
-    return tuple(colors) if rec(0, 0) else None
+    try:
+        return tuple(colors) if rec(0, 0) else None
+    finally:
+        del rec  # rec holds itself through its closure; this breaks the cycle
 
 
 def chromatic_index_class(g: Graph) -> int:

@@ -142,7 +142,10 @@ def eulerian_census(d: Orientation, max_edges: int = CENSUS_GUARD) -> EulerianCe
         rem[t] += 1
         rem[h] += 1
 
-    rec(0, 0)
+    try:
+        rec(0, 0)
+    finally:
+        del rec  # rec holds itself through its closure; this breaks the cycle
     return EulerianCensus(counts[0], counts[1])
 
 
@@ -204,7 +207,10 @@ def atn_from_orientations(
         rem[v] += 1
         bits[i] = 0
 
-    rec(0, 0)
+    try:
+        rec(0, 0)
+    finally:
+        del rec  # rec holds itself through its closure; this breaks the cycle
     return best.atn, best
 
 
@@ -256,5 +262,8 @@ def orientation_census_table(g: Graph) -> tuple[list[int], list[int]]:
         bal[u], bal[v] = bu, bv
         rem[u], rem[v] = ru + 1, rv + 1
 
-    rec(0, 0, 0)
+    try:
+        rec(0, 0, 0)
+    finally:
+        del rec  # rec holds itself through its closure; this breaks the cycle
     return even, odd

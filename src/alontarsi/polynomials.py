@@ -37,6 +37,16 @@ so the polynomial is antisymmetric in x_u, x_w and every d with d_u = d_w
 has coefficient 0.  So once both twins are finished, a group whose prefix
 has d_u > d_w, or d_u = d_w for adjacent twins, holds no lexicographically
 first survivor and is dropped; the group holding it is never dropped.
+
+The search over caps starts at a proven lower bound.  ATN is monotone under
+subgraphs: P_G = (x_u - x_v) P_{G-e}, so the coefficient of x^d in P_G is
+that of x^(d - e_u) in P_{G-e} minus that of x^(d - e_v), and a nonzero
+coefficient of P_G with every exponent at most c forces one of P_{G-e} with
+the same property.  Hence ATN(G) >= ATN(K_w) = w for a clique on w
+vertices, and ATN(G) >= 1 + ceil(m(H)/n(H)) for every subgraph H, since
+each monomial of P_H has degree m(H) over n(H) variables.  Every cap below
+the bound minus one is zero, so skipping those caps changes neither the
+first nonzero cap nor its lexicographically first survivor.
 """
 
 from __future__ import annotations
@@ -100,13 +110,29 @@ class SparsePolynomial:
 
 
 @dataclass(frozen=True)
+class LowerBound:
+    """Witness that ATN >= bound, checkable against the edge list: the
+    vertices span a clique and bound is their count ("clique"), or they
+    induce m edges on n vertices and bound = 1 + ceil(m/n) ("density")."""
+
+    kind: str
+    vertices: tuple[int, ...]
+    bound: int
+
+    def to_json_obj(self):
+        return {"kind": self.kind, "vertices": list(self.vertices), "bound": self.bound}
+
+
+@dataclass(frozen=True)
 class MonomialCertificate:
     """Witness for an Alon-Tarsi number: an exponent vector with nonzero
-    coefficient in the graph polynomial whose largest exponent is atn - 1."""
+    coefficient in the graph polynomial whose largest exponent is atn - 1,
+    and the lower bound the search started from (tight when it equals atn)."""
 
     atn: int
     exponents: tuple[int, ...]
     coefficient: int
+    lower_bound: LowerBound
 
     def to_json_obj(self):
         return {
@@ -114,6 +140,7 @@ class MonomialCertificate:
             "atn": self.atn,
             "exponents": list(self.exponents),
             "coefficient": self.coefficient,
+            "lower_bound": self.lower_bound.to_json_obj(),
         }
 
 
@@ -260,6 +287,69 @@ def _first_nonzero_group(
     return None
 
 
+def _max_clique(g: Graph) -> tuple[int, ...]:
+    """A maximum clique, sorted: Bron-Kerbosch with pivoting over bitsets,
+    depth-first on an explicit stack.  A maximal clique inside the
+    candidates holds the pivot or a non-neighbour of it, so branching on
+    those covers every maximal clique; only a maximum one is wanted, so
+    there is no excluded set, and a branch that cannot beat the best clique
+    so far is dropped.  Branches go in increasing vertex order and the first
+    maximum clique found wins."""
+    nbrs = [0] * g.n
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    best: tuple[int, ...] = ()
+    stack = [((), (1 << g.n) - 1)]  # (clique, candidate bitset)
+    while stack:
+        clique, cands = stack.pop()
+        if not cands:
+            if len(clique) > len(best):
+                best = clique
+            continue
+        if len(clique) + cands.bit_count() <= len(best):
+            continue
+        members = [v for v in range(g.n) if cands >> v & 1]
+        pivot = max(members, key=lambda v: (cands & nbrs[v]).bit_count())
+        children = []
+        for v in members:
+            if not nbrs[pivot] >> v & 1:
+                children.append((clique + (v,), cands & nbrs[v]))
+                cands &= ~(1 << v)
+        stack.extend(reversed(children))
+    return tuple(sorted(best))
+
+
+def _peeling_density(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """The largest 1 + ceil(m/n) over the subgraphs left while a vertex of
+    least degree (the smallest such) is deleted at a time, with the first
+    vertex set that reaches it; (0, ()) for the empty graph."""
+    adj = [set(s) for s in g.adjacency()]
+    alive = set(range(g.n))
+    m = g.m
+    best, where = 0, ()
+    while alive:
+        b = 1 + -(-m // len(alive))
+        if b > best:
+            best, where = b, tuple(sorted(alive))
+        v = min(alive, key=lambda w: (len(adj[w]), w))
+        for w in adj[v]:
+            adj[w].discard(v)
+        m -= len(adj[v])
+        alive.remove(v)
+    return best, where
+
+
+def _lower_bound(g: Graph) -> LowerBound:
+    """The larger of the clique and peeling-density bounds on ATN, with its
+    witness; the clique wins a tie."""
+    clique = _max_clique(g)
+    density, dense = _peeling_density(g)
+    if density > len(clique):
+        return LowerBound("density", dense, density)
+    return LowerBound("clique", clique, len(clique))
+
+
 def atn_from_polynomial(
     g: Graph, max_terms: int = DEFAULT_TERM_GUARD
 ) -> tuple[int, MonomialCertificate]:
@@ -271,6 +361,13 @@ def atn_from_polynomial(
     (anything smaller would have survived the previous cap), and the
     certificate is the lexicographically smallest surviving exponent vector,
     which is the smallest packed key.
+
+    b starts at a lower bound L, the larger of the clique number and the
+    largest 1 + ceil(m/n) along the min-degree peeling sequence.  ATN is
+    monotone under subgraphs, since P_G = (x_u - x_v) P_{G-e}, and ATN(K_w)
+    = w while every monomial of P_H has degree m(H) over n(H) variables; so
+    every cap below L - 1 is zero, and starting there changes neither b nor
+    the certificate.  The certificate carries L with its witness.
 
     No cap's expansion is built whole: a depth-first search over factor
     blocks splits the live terms on the finished prefix of vertices, visits
@@ -284,13 +381,14 @@ def atn_from_polynomial(
     memory guard counts every term held at once: the group being expanded
     plus the groups waiting their turn.
     """
+    bound = _lower_bound(g)
     blocks = _finishing_blocks(g)
     twins = _twin_pairs(g)
-    for b in range(1, g.m + 2):
+    for b in range(max(bound.bound, 1), g.m + 2):
         poly = _first_nonzero_group(g, blocks, twins, b - 1, max_terms)
         if poly is not None:
             key = min(poly.terms)
-            return b, MonomialCertificate(b, poly.unpack(key), poly.terms[key])
+            return b, MonomialCertificate(b, poly.unpack(key), poly.terms[key], bound)
     raise AssertionError("graph polynomial expanded to zero at full cap")
 
 

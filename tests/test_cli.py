@@ -1,7 +1,10 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,8 @@ from alontarsi import (
 )
 from alontarsi.cli import main
 from alontarsi.verify import run_campaign
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -241,6 +246,24 @@ class TestEfl:
 
 
 class TestVerify:
+    def test_reader_closing_early_exits_141(self):
+        # duality at max_edges 9 prints far more than a pipe buffer holds
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "alontarsi.cli", "verify", "duality", "--max-edges", "9"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            rc = proc.wait(timeout=120)
+        assert json.loads(first)["campaign"] == "duality"
+        assert rc == 141
+        assert "invalid input" not in err and "Traceback" not in err and "Exception" not in err
+
     def test_thm1_json_stream(self, capsys):
         assert main(["verify", "thm1", "--format", "json"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -7,6 +7,7 @@ import pytest
 
 from alontarsi import (
     Graph,
+    LowerBound,
     SizeGuardExceeded,
     all_graphs,
     atn_from_polynomial,
@@ -15,6 +16,7 @@ from alontarsi import (
     complete_graph,
     connected_graphs,
     cycle_graph,
+    disjoint_union,
     expand_capped,
     full_expansion,
     line_graph,
@@ -47,6 +49,21 @@ def whole_expansion_atn(g):
     for b in range(1, g.m + 2):
         poly = expand_capped(g.edges, g.n, b - 1)
         if poly.terms:
+            key = min(poly.terms)
+            return b, poly.unpack(key), poly.terms[key]
+    raise AssertionError("zero at full cap")
+
+
+def search_from_cap_zero(g):
+    """The search of `atn_from_polynomial` with no lower bound: every cap
+    from 0 up, as (b, exponents, coefficient)."""
+    blocks = polynomials._finishing_blocks(g)
+    twins = polynomials._twin_pairs(g)
+    for b in range(1, g.m + 2):
+        poly = polynomials._first_nonzero_group(
+            g, blocks, twins, b - 1, polynomials.DEFAULT_TERM_GUARD
+        )
+        if poly is not None:
             key = min(poly.terms)
             return b, poly.unpack(key), poly.terms[key]
     raise AssertionError("zero at full cap")
@@ -173,6 +190,7 @@ class TestAtnFromPolynomial:
             "atn": 3,
             "exponents": [0, 1, 2],
             "coefficient": -1,
+            "lower_bound": {"kind": "clique", "vertices": [0, 1, 2], "bound": 3},
         }
 
 
@@ -234,13 +252,13 @@ class TestLexFirstSearch:
             edges.append((v, n))
         self.assert_matches_whole_expansion(relabelled(Graph(n + 1, edges), seed))
 
-    def test_k9(self):
-        value, cert = atn_from_polynomial(complete_graph(9))
-        assert value == 9
-        assert cert.exponents == tuple(range(9)) and cert.coefficient == 1
+    @pytest.mark.parametrize("n, coefficient", [(9, 1), (10, -1), (12, 1)])
+    def test_large_complete_graphs(self, n, coefficient):
+        value, cert = atn_from_polynomial(complete_graph(n))
+        assert value == n
+        assert cert.exponents == tuple(range(n)) and cert.coefficient == coefficient
 
-    def test_k8_expansion_count(self, monkeypatch):
-        # 8,814 expansions without the twin rule
+    def count_expansions(self, monkeypatch, search):
         calls = 0
         expand = polynomials.expand_capped
 
@@ -250,8 +268,22 @@ class TestLexFirstSearch:
             return expand(*args, **kwargs)
 
         monkeypatch.setattr(polynomials, "expand_capped", counting)
-        value, _ = atn_from_polynomial(complete_graph(8))
+        value = search()
+        return value, calls
+
+    def test_k8_expansion_count(self, monkeypatch):
+        # the twin rule alone, on caps 0..7: 8,814 expansions without it
+        value, calls = self.count_expansions(
+            monkeypatch, lambda: search_from_cap_zero(complete_graph(8))[0]
+        )
         assert value == 8 and calls == 213
+
+    def test_k8_expansion_count_from_bound(self, monkeypatch):
+        # the clique bound starts the search at cap 7, one expansion per block
+        value, calls = self.count_expansions(
+            monkeypatch, lambda: atn_from_polynomial(complete_graph(8))[0]
+        )
+        assert value == 8 and calls == 8
 
     def test_line_graph_of_petersen(self):
         g = line_graph(petersen_graph())
@@ -270,6 +302,60 @@ class TestLexFirstSearch:
         g = relabelled(line_graph(complete_bipartite(4, 4)), 0)
         value, _ = atn_from_polynomial(g)
         assert value == 4
+
+
+class TestLowerBound:
+    """The bound the search starts from, and its witness."""
+
+    def assert_sound(self, g):
+        value, cert = atn_from_polynomial(g)
+        assert (value, cert.exponents, cert.coefficient) == search_from_cap_zero(g), g.edges
+        lb = cert.lower_bound
+        assert lb.bound <= value
+        assert list(lb.vertices) == sorted(set(lb.vertices))
+        assert all(0 <= v < g.n for v in lb.vertices)
+        h, _ = g.induced(lb.vertices)
+        k = len(lb.vertices)
+        if lb.kind == "clique":
+            assert h.m == k * (k - 1) // 2 and lb.bound == k
+        else:
+            assert lb.kind == "density" and k and lb.bound == 1 + -(-h.m // k)
+        return value, lb
+
+    def test_all_graphs_on_six_vertices(self):
+        for g in all_graphs(6):
+            self.assert_sound(g)
+
+    def test_connected_graphs_up_to_eight_edges(self):
+        for g in connected_graphs(8):
+            self.assert_sound(g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_relabelled(self, seed):
+        bases = [
+            complete_bipartite(3, 3),
+            complete_bipartite(4, 4),
+            petersen_graph(),
+            total_graph(cycle_graph(5)),
+            line_graph(complete_graph(4)),
+            Graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3)]),
+        ]
+        for g in bases:
+            self.assert_sound(relabelled(g, seed))
+
+    def test_empty_and_edgeless_graphs(self):
+        # the empty clique bounds nothing; ATN of an edgeless graph is 1
+        assert self.assert_sound(Graph(0, [])) == (1, LowerBound("clique", (), 0))
+        assert self.assert_sound(Graph(4, [])) == (1, LowerBound("clique", (0,), 1))
+
+    def test_witnesses(self):
+        value, lb = self.assert_sound(complete_bipartite(5, 5))
+        assert (value, lb) == (4, LowerBound("density", tuple(range(10)), 4))
+        # a K4 beside a 3-regular graph: the clique beats density 1 + ceil(3/2) = 3
+        g = disjoint_union(petersen_graph(), complete_graph(4))
+        assert self.assert_sound(g) == (4, LowerBound("clique", (10, 11, 12, 13), 4))
+        # one short: L(K5) is 6-regular with clique number 4, and ATN 5
+        assert self.assert_sound(line_graph(complete_graph(5)))[1].bound == 4
 
 
 class TestCoefficientOf:
