@@ -165,7 +165,11 @@ def _cmd_verify(args) -> int:
         else:
             status = "PASS" if report["pass"] else "FAIL"
             skips = sum(1 for v in report["claims"].values() if v == "SKIP")
-            note = f" ({skips} skipped)" if skips else ""
+            notes = [f"{skips} skipped"] if skips else []
+            # a guard can trip after every claim it would skip is decided
+            if "guard" in report["values"]:
+                notes.append(report["values"]["guard"])
+            note = f" ({'; '.join(notes)})" if notes else ""
             print(f"{status} {report['instance']}{note}")
 
     reports = run_campaign(args.campaign, overrides=overrides, sink=sink)

@@ -13,9 +13,14 @@ feasibility pruning only.  The orientation search relies on one lemma (Alon
 and Tarsi 1992): two orientations with the same outdegree vector differ on
 an Eulerian subdigraph F, and the symmetric difference with F maps the
 Eulerian subdigraphs of one one-to-one onto those of the other, changing
-parity by |F|.  So |even - odd| depends only on the outdegree vector, and
-the search runs one census per vector.  tests/test_orientations.py checks
-the lemma on every orientation of every graph with at most 8 edges.
+parity by |F|.  So |even - odd| depends only on the outdegree vector.
+Swapping two twins is an automorphism, which carries the Eulerian
+subdigraphs of an orientation one-to-one onto those of its image with arc
+counts kept, so the census is also shared by vectors that differ by a
+permutation of twins, and the search runs one census per twin orbit of
+outdegree vectors.  tests/test_orientations.py checks the lemma on every
+orientation of every graph with at most 8 edges, and the twin swap on every
+orientation of every graph with at most 6 edges.
 orientation_census_table censuses all orientations at once under the same
 prune rule as eulerian_census, in a recursion that shares no code with it.
 """
@@ -25,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeGuardExceeded
-from .graphs import Graph
+from .graphs import Graph, first_twins
 
 CENSUS_GUARD = 22
 CENSUS_TABLE_GUARD = 16
@@ -159,10 +164,12 @@ def atn_from_orientations(
     Walks the 2^m orientations as a binary tree in that order, pruning any
     subtree whose partial maximum outdegree already matches the incumbent,
     and any subtree whose vertices cannot absorb the undecided edges while
-    staying below it.  A leaf whose outdegree vector was censused before is
-    skipped: by the lemma in the module docstring it is balanced if that
-    vector was, and if that vector was unbalanced it was accepted and the
-    incumbent already prunes this leaf.  There is always an acyclic
+    staying below it.  It runs one census per twin orbit of outdegree
+    vectors: a twin swap is an automorphism, so it keeps (even, odd), and
+    by the lemma in the module docstring so does any orientation with the
+    same vector.  A leaf whose orbit was censused before is therefore
+    balanced if that census was, and if it was unbalanced it was accepted
+    and the incumbent already prunes this leaf.  There is always an acyclic
     orientation, so an optimum exists.
     """
     m = g.m
@@ -174,14 +181,15 @@ def atn_from_orientations(
     best_value = m + 2
     best: OrientationCertificate | None = None
     bits = [0] * m
-    censused: set[tuple[int, ...]] = set()
+    first = first_twins(g.adjacency())
+    censused: set[tuple[tuple[int, int], ...]] = set()
 
     def rec(i: int, partial_max: int):
         nonlocal best_value, best
         if partial_max >= best_value:
             return
         if i == m:
-            key = tuple(out)
+            key = tuple(sorted(zip(first, out)))
             if key in censused:
                 return
             censused.add(key)

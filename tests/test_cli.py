@@ -288,6 +288,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("PASS") == 6
 
+    def test_text_notes_a_guard_that_skips_no_claim(self, monkeypatch, capsys):
+        # a host factorization guard trips after thm2's one listed claim is
+        # decided, so the report has no "SKIP"; the text line still names it
+        monkeypatch.setattr(verify, "EMBED_HOST_GUARD", 12)
+        assert main(["verify", "thm2", "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        guarded = [ln for ln in lines if "factorization guard" in ln]
+        assert len(lines) == 52 and len(guarded) == 15
+        assert all(re.fullmatch(r"PASS thm2/\S+ \(factorization guard: n=\d+ > 12\)", ln) for ln in guarded)
+
     def test_reports_deterministic_except_wall_time(self):
         def strip(reports):
             return [{k: v for k, v in r.items() if k != "wall_ms"} for r in reports]

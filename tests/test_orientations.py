@@ -24,6 +24,7 @@ from alontarsi import (
     total_graph,
 )
 from alontarsi import orientations
+from alontarsi.graphs import first_twins
 
 
 def brute_census(orient):
@@ -43,6 +44,53 @@ def brute_census(orient):
             else:
                 even += 1
     return even, odd
+
+
+def vector_keyed_search(g):
+    """Reference for atn_from_orientations: the same search, keyed on the
+    outdegree vector itself, one census per vector.  Returns (atn, bits,
+    (even, odd))."""
+    m = g.m
+    edges = g.edges
+    out = [0] * g.n
+    rem = list(g.degrees())
+    best_value = m + 2
+    best = None
+    bits = [0] * m
+    censused = set()
+
+    def rec(i, partial_max):
+        nonlocal best_value, best
+        if partial_max >= best_value:
+            return
+        if i == m:
+            key = tuple(out)
+            if key in censused:
+                return
+            censused.add(key)
+            census = eulerian_census(Orientation(g, tuple(bits)))
+            if census.alon_tarsi:
+                best_value = partial_max
+                best = (partial_max + 1, tuple(bits), (census.even, census.odd))
+            return
+        cap = best_value - 1
+        if sum(min(cap - o, r) for o, r in zip(out, rem)) < m - i:
+            return
+        u, v = edges[i]
+        rem[u] -= 1
+        rem[v] -= 1
+        for b, tail in ((0, u), (1, v)):
+            out[tail] += 1
+            if out[tail] < best_value:
+                bits[i] = b
+                rec(i + 1, max(partial_max, out[tail]))
+            out[tail] -= 1
+        rem[u] += 1
+        rem[v] += 1
+        bits[i] = 0
+
+    rec(0, 0)
+    return best
 
 
 def grid_graph(rows, cols):
@@ -217,6 +265,45 @@ class TestOutdegreeLemma:
         assert (len(graphs), seen) == (788, 155299)
 
 
+def swap_twins(o, u, w):
+    """The image of orientation o under the vertex swap u <-> w, which must
+    be an automorphism of o's graph."""
+    g = o.graph
+    sigma = list(range(g.n))
+    sigma[u], sigma[w] = w, u
+    index = {e: i for i, e in enumerate(g.edges)}
+    bits = [0] * g.m
+    for t, h in o.arcs():
+        t, h = sigma[t], sigma[h]
+        bits[index[min(t, h), max(t, h)]] = int(t > h)
+    return Orientation(g, tuple(bits))
+
+
+class TestTwinSwapInvariance:
+    def test_twin_swap_keeps_census(self):
+        # swapping twins is an automorphism, so it carries the Eulerian
+        # subdigraphs of an orientation one-to-one onto those of its image,
+        # arc counts kept; the orientation search keys on twin orbits of
+        # outdegree vectors on the strength of this
+        graphs = graphs_with_edge_budget(6)
+        pairs = orientations_seen = 0
+        for g in graphs:
+            first = first_twins(g.adjacency())
+            twins = [(u, w) for u, w in combinations(range(g.n), 2) if first[u] == first[w]]
+            pairs += len(twins)
+            for u, w in twins:
+                for value in range(1 << g.m):
+                    o = Orientation.from_int(g, value)
+                    image = swap_twins(o, u, w)
+                    out = list(o.outdegrees())
+                    out[u], out[w] = out[w], out[u]
+                    assert image.outdegrees() == tuple(out)
+                    a, b = eulerian_census(o), eulerian_census(image)
+                    assert (a.even, a.odd) == (b.even, b.odd), (g.edges, u, w, value)
+                    orientations_seen += 1
+        assert (len(graphs), pairs, orientations_seen) == (114, 311, 15462)
+
+
 class TestAtnFromOrientations:
     def test_k2(self):
         value, cert = atn_from_orientations(complete_graph(2))
@@ -254,10 +341,11 @@ class TestAtnFromOrientations:
     @pytest.mark.parametrize(
         "g, censuses, bits, census",
         [
-            (complete_graph(6), 1187, "0x0", (1, 0)),
+            (complete_graph(5), 6, "0x0", (1, 0)),
+            (complete_graph(6), 14, "0x0", (1, 0)),
             (total_graph(cycle_graph(5)), 3, "0x8", (3, 2)),
         ],
-        ids=["K6", "T(C5)"],
+        ids=["K5", "K6", "T(C5)"],
     )
     def test_one_census_per_outdegree_vector(self, g, censuses, bits, census, monkeypatch):
         calls = []
@@ -272,6 +360,16 @@ class TestAtnFromOrientations:
         assert len(calls) == censuses
         assert cert.orientation.bits_hex() == bits
         assert (cert.census.even, cert.census.odd) == census
+
+    def test_certificates_match_vector_keyed_search(self):
+        graphs = list(graphs_with_edge_budget(7))
+        graphs += [g for g in connected_graphs(15, max_vertices=6) if g.n == 6]
+        graphs += [complete_graph(5), complete_graph(6), named_graph("K3,3")]
+        graphs.append(total_graph(cycle_graph(5)))
+        for g in graphs:
+            atn, cert = atn_from_orientations(g)
+            got = (atn, cert.orientation.bits, (cert.census.even, cert.census.odd))
+            assert got == vector_keyed_search(g), g.edges
 
     def test_orientation_json(self):
         _, cert = atn_from_orientations(cycle_graph(4))
