@@ -343,9 +343,10 @@ class TestAtnFromOrientations:
         [
             (complete_graph(5), 6, "0x0", (1, 0)),
             (complete_graph(6), 14, "0x0", (1, 0)),
+            (complete_graph(7), 38, "0x0", (1, 0)),
             (total_graph(cycle_graph(5)), 3, "0x8", (3, 2)),
         ],
-        ids=["K5", "K6", "T(C5)"],
+        ids=["K5", "K6", "K7", "T(C5)"],
     )
     def test_one_census_per_outdegree_vector(self, g, censuses, bits, census, monkeypatch):
         calls = []
@@ -362,14 +363,27 @@ class TestAtnFromOrientations:
         assert (cert.census.even, cert.census.odd) == census
 
     def test_certificates_match_vector_keyed_search(self):
-        graphs = list(graphs_with_edge_budget(7))
+        # a walk memo keyed on the twin orbit of the partial outdegree vector
+        # is unsound, and it shows only under some labellings, such as the
+        # five-vertex graph (0,1),(0,2),(0,3),(0,4),(1,2),(1,4),(2,4); so the
+        # families also run under one seeded relabelling each, and every
+        # labelled graph on five vertices with at most 8 edges runs too
+        graphs = list(graphs_with_edge_budget(8))
         graphs += [g for g in connected_graphs(15, max_vertices=6) if g.n == 6]
-        graphs += [complete_graph(5), complete_graph(6), named_graph("K3,3")]
-        graphs.append(total_graph(cycle_graph(5)))
+        graphs += [named_graph("K3,3"), total_graph(cycle_graph(5))]
+        rng = random.Random(2026)
+        graphs += [g.relabel(rng.sample(range(g.n), g.n)) for g in graphs]
+        pairs = list(combinations(range(5), 2))
+        graphs += [Graph(5, s) for k in range(9) for s in combinations(pairs, k)]
+        graphs += [complete_graph(5), complete_graph(6)]  # fixed by every relabelling
         for g in graphs:
             atn, cert = atn_from_orientations(g)
             got = (atn, cert.orientation.bits, (cert.census.even, cert.census.odd))
             assert got == vector_keyed_search(g), g.edges
+
+    def test_four_disjoint_k4s_past_the_guard(self):
+        value, _ = atn_from_orientations(named_graph("4K4"), max_edges=24)
+        assert value == 4
 
     def test_orientation_json(self):
         _, cert = atn_from_orientations(cycle_graph(4))
