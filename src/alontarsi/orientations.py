@@ -248,10 +248,12 @@ def orientation_census_table(g: Graph) -> tuple[list[int], list[int]]:
     One recursion over the edges in canonical order leaves each edge out or
     puts it in as u->v (bit 0) or v->u (bit 1).  bal tracks out minus in, and
     a branch dies as soon as some vertex's imbalance exceeds its count of
-    undecided edges.  So a leaf is a balanced arc set with support s and
-    directions d on s, Eulerian in every orientation d | t with t inside ~s,
-    and counted there in the table of parity |s|.  eulerian_census is the
-    reference it is tested against.
+    undecided edges.  The empty arc set is Eulerian in every orientation, so
+    even starts at all ones and the all-skip leaf adds nothing.  Every other
+    leaf is a nonempty balanced arc set with support s and directions d on
+    s, Eulerian in every orientation d | t with t inside ~s, and counted
+    there in the table of parity |s|.  eulerian_census is the reference it
+    is tested against.
     """
     m = g.m
     if m > CENSUS_TABLE_GUARD:
@@ -260,11 +262,13 @@ def orientation_census_table(g: Graph) -> tuple[list[int], list[int]]:
     full = (1 << m) - 1
     rem = list(g.degrees())  # undecided edges at each vertex
     bal = [0] * g.n
-    even = [0] * (1 << m)
+    even = [1] * (1 << m)  # the empty arc set, in every orientation
     odd = [0] * (1 << m)
 
     def rec(i: int, s: int, d: int):
         if i == m:
+            if not s:
+                return
             table = odd if s.bit_count() & 1 else even
             comp = full & ~s
             t = comp

@@ -92,14 +92,18 @@ class SparsePolynomial:
         return len(self.terms)
 
     def evaluate(self, point) -> int:
-        """Exact big-integer evaluation at an integer point."""
+        """Exact big-integer evaluation at an integer point.  Exponents are
+        read straight from the packed keys, one field per variable."""
         point = tuple(point)
         if len(point) != self.nvars:
             raise ValueError("point length mismatch")
+        mask = (1 << self.width) - 1
+        shifts = range((self.nvars - 1) * self.width, -1, -self.width)
+        fields = list(zip(point, shifts))
         total = 0
-        for exps, coeff in self.items():
-            term = coeff
-            for x, e in zip(point, exps):
+        for key, term in self.terms.items():
+            for x, s in fields:
+                e = key >> s & mask
                 if e:
                     term *= x**e
             total += term

@@ -20,6 +20,8 @@ import copy
 import json
 import random
 import time
+from itertools import repeat
+from operator import sub
 
 from .canon import all_graphs, connected_graphs, graphs_with_edge_budget
 from .coloring import chromatic_number, choice_number
@@ -188,16 +190,15 @@ def _run_duality_census(claims: dict, values: dict, g: Graph) -> None:
     for u, v in g.edges:
         step = unit[v] - unit[u]
         keys += [key + step for key in keys]
-    diffs = [e - o for e, o in zip(even, odd)]
-    claims["census_matches_coefficients"] = all(
-        abs(poly.terms.get(key, 0)) == abs(diff) for key, diff in zip(keys, diffs)
+    diffs = list(map(sub, even, odd))
+    sizes = list(map(abs, diffs))
+    claims["census_matches_coefficients"] = sizes == list(
+        map(abs, map(poly.terms.get, keys, repeat(0)))
     )
     # orientation full ^ d = full - d reverses every arc of d
-    claims["arc_reversal_symmetric"] = all(
-        abs(a) == abs(b) for a, b in zip(diffs, reversed(diffs))
-    )
+    claims["arc_reversal_symmetric"] = sizes == sizes[::-1]
     values["orientations"] = len(diffs)
-    values["alon_tarsi_orientations"] = sum(1 for diff in diffs if diff)
+    values["alon_tarsi_orientations"] = len(diffs) - diffs.count(0)
 
 
 def _run_duality_engines(claims: dict, values: dict, g: Graph) -> None:

@@ -11,6 +11,7 @@ import pytest
 
 from alontarsi import (
     Graph,
+    Orientation,
     atn_from_polynomial,
     canon,
     chromatic_index_class,
@@ -18,6 +19,7 @@ from alontarsi import (
     coefficient_of,
     complete_bipartite,
     efl,
+    graphs_with_edge_budget,
     line_graph,
     named_graph,
     parse_edge_list_text,
@@ -378,6 +380,29 @@ def _config_file(tmp_path, obj):
     return str(path)
 
 
+def census_by_orientation(g):
+    """Oracle for the duality census worker: its claims and values, one
+    orientation at a time, with the coefficient read through pack."""
+    even, odd = verify.orientation_census_table(g)
+    poly = verify.full_expansion(g)
+    full = (1 << g.m) - 1
+    matches = symmetric = True
+    alon_tarsi = 0
+    for value in range(1 << g.m):
+        out = Orientation.from_int(g, value).outdegrees()
+        diff = even[value] - odd[value]
+        matches &= abs(poly.terms.get(poly.pack(out), 0)) == abs(diff)
+        symmetric &= abs(diff) == abs(even[full ^ value] - odd[full ^ value])
+        alon_tarsi += diff != 0
+    claims = {"census_matches_coefficients": matches, "arc_reversal_symmetric": symmetric}
+    values = {
+        "graph": verify._graph_descriptor(g),
+        "orientations": 1 << g.m,
+        "alon_tarsi_orientations": alon_tarsi,
+    }
+    return claims, values
+
+
 class TestVerifyGuards:
     def test_memory_guard_gives_skip_reports(self, capsys):
         # the term guard trips in the last claim's expansion: the claims
@@ -469,6 +494,30 @@ class TestVerifyGuards:
             "arc_reversal_symmetric": True,
         }
         assert bad_values == values and values["alon_tarsi_orientations"] > 0
+
+    def test_duality_census_matches_a_per_orientation_loop(self):
+        for g in graphs_with_edge_budget(7):
+            claims, values = {}, {}
+            verify._run_duality_census(claims, values, g)
+            assert (claims, values) == census_by_orientation(g), g.edges
+
+    def test_duality_census_catches_a_corrupted_table(self, monkeypatch):
+        # K4's orientation 0 is transitive, so its census is 1/0 and both it
+        # and its reversal have coefficient +-1; one extra even subdigraph
+        # breaks the identity and the reversal symmetry at once
+        g = named_graph("K4")
+        real = verify.orientation_census_table
+
+        def bumped(h):
+            even, odd = real(h)
+            even[0] += 1
+            return even, odd
+
+        monkeypatch.setattr(verify, "orientation_census_table", bumped)
+        claims, values = {}, {}
+        verify._run_duality_census(claims, values, g)
+        assert claims == {"census_matches_coefficients": False, "arc_reversal_symmetric": False}
+        assert (claims, values) == census_by_orientation(g)
 
     def test_enumeration_guard_still_exits_3(self, tmp_path, capsys):
         cfg = _config_file(tmp_path, {"max_k": 6})

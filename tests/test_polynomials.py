@@ -69,6 +69,15 @@ def search_from_cap_zero(g):
     raise AssertionError("zero at full cap")
 
 
+def evaluation_through_unpack(poly, point):
+    total = 0
+    for key, coeff in poly.terms.items():
+        for x, e in zip(point, poly.unpack(key)):
+            coeff *= x**e
+        total += coeff
+    return total
+
+
 def relabelled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
@@ -428,6 +437,29 @@ class TestEvaluate:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             full_expansion(complete_graph(3)).evaluate((1, 2))
+
+    @pytest.mark.parametrize(
+        "g, cap, width",
+        [
+            (cycle_graph(8), 0, 1),
+            (cycle_graph(8), 1, 2),
+            (complete_graph(4), 3, 3),
+            (complete_graph(5), 7, 4),
+            (star_graph(8), None, 4),  # full cap 8: the centre's exponent fills the field
+        ],
+    )
+    def test_matches_evaluation_through_unpack(self, g, cap, width):
+        poly = full_expansion(g) if cap is None else expand_capped(g.edges, g.n, cap)
+        assert poly.width == width and (cap == 0 or poly.num_terms() > 0)
+        rng = random.Random(g.m)
+        points = [[0] * g.n, [-1] * g.n, list(range(-3, g.n - 3)), [2] + [-1] * (g.n - 1)]
+        points += [[rng.randint(-9, 9) for _ in range(g.n)] for _ in range(20)]
+        for point in points:
+            assert poly.evaluate(point) == evaluation_through_unpack(poly, point), point
+
+    def test_empty_graph_is_one(self):
+        poly = full_expansion(Graph(0, []))
+        assert poly.nvars == 0 and poly.evaluate(()) == 1 == evaluation_through_unpack(poly, ())
 
 
 class TestSparsePolynomial:
