@@ -47,10 +47,26 @@ vertices, and ATN(G) >= 1 + ceil(m(H)/n(H)) for every subgraph H, since
 each monomial of P_H has degree m(H) over n(H) variables.  Every cap below
 the bound minus one is zero, so skipping those caps changes neither the
 first nonzero cap nor its lexicographically first survivor.
+
+A cap c with c*n = m holds one candidate: the only exponent vector of degree
+m with every entry at most c is all-c.  For Delta-regular G, L(G) is
+2(Delta-1)-regular and T(G) is 2*Delta-regular, and the cliques at G's
+vertices start their search at exactly such a cap.  One coefficient then
+decides the cap, and the quantitative Combinatorial Nullstellensatz gives it
+without expanding anything: for grids {0..d_v} with sum(d) = m,
+coeff(x^d) * prod d_v! = sum over the grid of P(c) prod (-1)^(d_v-c_v) C(d_v, c_v),
+where P(c) = prod (c_u - c_v) over the edges is 0 unless c is a proper
+coloring (Alon, Combin. Probab. Comput. 8 (1999); Karasev and Petrov,
+Israel J. Math. 192 (2012)).  So a signed walk over the proper colorings
+with c_v <= d_v finds it in exact integers.  A nonzero all-c is the only
+survivor, hence the lexicographically first, so the certificate is the one
+the expansion would give; a zero one sends the search to the next cap.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -354,6 +370,94 @@ def _lower_bound(g: Graph) -> LowerBound:
     return LowerBound("clique", clique, len(clique))
 
 
+def _coefficient_by_colorings(g: Graph, d, max_terms: int = DEFAULT_TERM_GUARD) -> int:
+    """Exact coefficient of x^d by the quantitative Combinatorial
+    Nullstellensatz: with grids {0..d_v} and sum(d) = m,
+    coeff(x^d) * prod d_v! = sum over c of P(c) * prod (-1)^(d_v-c_v) C(d_v, c_v),
+    where P(c) = prod over edges u < v of (c_u - c_v) vanishes unless c is a
+    proper coloring.  So only proper colorings with c_v <= d_v are walked,
+    depth-first on an explicit stack, in max-cardinality order (next is the
+    vertex with the most colored neighbours, ties by (d_v, v)); each factor
+    is multiplied in when its second endpoint is colored, and a branch dies
+    at a zero factor.  Each connected component is walked on its own and the
+    sums multiplied, since P factors over components in disjoint variables.
+    Raises SizeGuardExceeded when the walk's nodes, summed over components,
+    pass max_terms.  Expands nothing, so it shares no code with `expand_capped`
+    or `coefficient_of`.
+    """
+    d = tuple(d)
+    adj = g.adjacency()
+    if sum(d) != g.m or any(not 0 <= e <= len(adj[v]) for v, e in enumerate(d)):
+        return 0
+    count = [0] * g.n  # colored neighbours, while v is still uncolored
+    heap = [(0, e, v) for v, e in enumerate(d)]
+    heapq.heapify(heap)
+    pos = [-1] * g.n
+    order = []
+    while heap:
+        negc, _, v = heapq.heappop(heap)
+        if pos[v] >= 0 or -negc != count[v]:
+            continue  # a stale entry
+        pos[v] = len(order)
+        order.append(v)
+        for w in adj[v]:
+            if pos[w] < 0:
+                count[w] += 1
+                heapq.heappush(heap, (-count[w], d[w], w))
+    # per depth: the depths of the colored neighbours, and the weight of each
+    # color times the sign that writes every factor as (c_v - c_x); a colored
+    # neighbour x < v contributes (c_x - c_v), so -1 each
+    back, weights = [], []
+    for v in order:
+        earlier = [x for x in adj[v] if pos[x] < pos[v]]
+        sign = -1 if sum(x < v for x in earlier) % 2 else 1
+        back.append([pos[x] for x in earlier])
+        weights.append(
+            [sign * (-1) ** (d[v] - c) * math.comb(d[v], c) for c in range(d[v] + 1)]
+        )
+    # P is the product of its components' polynomials in disjoint variables,
+    # so the coefficient is the product of theirs; the order colors one
+    # component whole before the next, whose first vertex is the one depth
+    # with no colored neighbour, and each component is walked on its own so
+    # that the nodes add across components instead of multiplying
+    starts = [i for i, b in enumerate(back) if not b] + [g.n]
+    color = [0] * g.n  # by depth
+    total, nodes = 1, 0
+    for first, end in zip(starts, starts[1:]):
+        last = end - 1
+        part = 0
+        stack = [(first - 1, 0, 1)]  # (depth, its color, product so far)
+        while stack:
+            i, c, p = stack.pop()
+            if i >= first:
+                color[i] = c
+            i += 1
+            used = [color[j] for j in back[i]]
+            children = []
+            for c, q in enumerate(weights[i]):
+                if c in used:
+                    continue
+                for x in used:
+                    q *= c - x
+                children.append((i, c, q * p))
+            nodes += len(children)
+            if nodes > max_terms:
+                raise SizeGuardExceeded(
+                    f"colorings walk: nodes {nodes} exceed guard {max_terms}"
+                )
+            if i == last:
+                part += sum(q for _, _, q in children)
+            else:
+                stack.extend(children)
+        if not part:
+            return 0
+        total *= part
+    scale = math.prod(math.factorial(e) for e in d)
+    coeff, rem = divmod(total, scale)
+    assert not rem, (total, scale)
+    return coeff
+
+
 def atn_from_polynomial(
     g: Graph, max_terms: int = DEFAULT_TERM_GUARD
 ) -> tuple[int, MonomialCertificate]:
@@ -384,11 +488,24 @@ def atn_from_polynomial(
     twin pairs are found once, as they do not depend on the cap.  The
     memory guard counts every term held at once: the group being expanded
     plus the groups waiting their turn.
+
+    A cap b-1 with (b-1)*n = m holds the one candidate all-(b-1), and
+    `_coefficient_by_colorings` decides it instead: coeff(x^d) * prod d_v!
+    is the sum over proper colorings c with c_v <= d_v of
+    P(c) prod (-1)^(d_v-c_v) C(d_v, c_v).  A nonzero value is the lone, so
+    lexicographically first, survivor, and the certificate is unchanged; a
+    zero one moves on to cap b.  `max_terms` bounds the walk's nodes too.
     """
     bound = _lower_bound(g)
     blocks = _finishing_blocks(g)
     twins = _twin_pairs(g)
     for b in range(max(bound.bound, 1), g.m + 2):
+        if (b - 1) * g.n == g.m:
+            lone = (b - 1,) * g.n
+            coeff = _coefficient_by_colorings(g, lone, max_terms)
+            if coeff:
+                return b, MonomialCertificate(b, lone, coeff, bound)
+            continue
         poly = _first_nonzero_group(g, blocks, twins, b - 1, max_terms)
         if poly is not None:
             key = min(poly.terms)

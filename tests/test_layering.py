@@ -94,3 +94,14 @@ def test_census_table_shares_no_code_with_the_census():
     table = names_in_function(path, "orientation_census_table")
     assert not table & {"eulerian_census", "atn_from_orientations"}, table
     assert "orientation_census_table" not in names_in_function(path, "eulerian_census")
+
+
+def test_colorings_walk_shares_no_code_with_the_expansions():
+    """The walk decides a cap without expanding anything, and coefficient_of
+    rechecks what it decides, so neither may call the other, and the walk
+    may not reach the capped expansion or the packed polynomial."""
+    path = PACKAGE / "polynomials.py"
+    walk = names_in_function(path, "_coefficient_by_colorings")
+    expansions = {"expand_capped", "_first_nonzero_group", "coefficient_of", "SparsePolynomial"}
+    assert not walk & expansions, walk & expansions
+    assert "_coefficient_by_colorings" not in names_in_function(path, "coefficient_of")

@@ -312,6 +312,38 @@ class TestLexFirstSearch:
         value, _ = atn_from_polynomial(g)
         assert value == 4
 
+    def test_lone_candidate_cap_expands_nothing(self, monkeypatch):
+        # L(K4,4) is 6-regular with clique number 4: cap 3 holds only all-3
+        g = line_graph(complete_bipartite(4, 4))
+        (value, cert), calls = self.count_expansions(monkeypatch, lambda: atn_from_polynomial(g))
+        assert (value, cert.exponents, cert.coefficient, calls) == (4, (3,) * 16, 576, 0)
+
+    def test_total_graph_of_petersen(self):
+        # all-3 has coefficient 0, so cap 4 is searched by expansion
+        g = total_graph(petersen_graph())
+        value, cert = atn_from_polynomial(g)
+        assert value == 5
+        assert cert.exponents == (0, 1, 1, 1, 2, 1, 1, 2) + (4,) * 10 + (3, 3) + (4,) * 5
+        assert cert.coefficient == 2
+        assert cert.lower_bound == LowerBound("clique", (0, 10, 11, 12), 4)
+
+    def test_lone_candidate_on_disjoint_copies(self, monkeypatch):
+        # L(3 K4,4): each copy has 576 colorings with a nonzero product, so a
+        # walk across components would need 576**3 nodes; walked one at a
+        # time they take 3 * 5,680
+        k44 = complete_bipartite(4, 4)
+        g = line_graph(disjoint_union(disjoint_union(k44, k44), k44))
+        (value, cert), calls = self.count_expansions(
+            monkeypatch, lambda: atn_from_polynomial(g, max_terms=20_000)
+        )
+        assert (value, cert.exponents, cert.coefficient, calls) == (4, (3,) * 48, 576**3, 0)
+
+    @pytest.mark.parametrize("n, value, coefficient", [(1000, 2, -2), (1001, 3, -1)])
+    def test_long_cycles(self, n, value, coefficient):
+        # a walk as deep as the graph is long: no recursion limit applies
+        atn, cert = atn_from_polynomial(cycle_graph(n))
+        assert (atn, cert.coefficient, max(cert.exponents)) == (value, coefficient, value - 1)
+
 
 class TestLowerBound:
     """The bound the search starts from, and its witness."""
@@ -406,6 +438,72 @@ class TestCoefficientOf:
         monkeypatch.setattr(polynomials, "DEFAULT_TERM_GUARD", 7)
         with pytest.raises(SizeGuardExceeded, match="live terms 8 exceed guard 7"):
             coefficient_of(g, (2,) * 5)
+
+
+def hypercube(k):
+    return Graph(1 << k, [(v, v | 1 << b) for v in range(1 << k) for b in range(k) if not v >> b & 1])
+
+
+class TestCoefficientByColorings:
+    """The signed walk over proper colorings against the frontier expansion."""
+
+    def test_matches_coefficient_of_on_random_monomials(self):
+        # each edge gives its degree to a random endpoint, so every target has
+        # degree m and d_v <= deg(v); the walk's early returns are skipped
+        rng = random.Random(6)
+        for g in all_graphs(6):
+            for _ in range(3):
+                d = [0] * g.n
+                for u, v in g.edges:
+                    d[rng.choice((u, v))] += 1
+                assert polynomials._coefficient_by_colorings(g, d) == coefficient_of(g, d), (g.edges, d)
+
+    def test_matches_every_certificate(self):
+        for g in all_graphs(6):
+            _, cert = atn_from_polynomial(g)
+            coeff = polynomials._coefficient_by_colorings(g, cert.exponents)
+            assert coeff == coefficient_of(g, cert.exponents) == cert.coefficient != 0
+
+    @pytest.mark.parametrize(
+        "name, g, value",
+        [
+            ("L(K4,4)", line_graph(complete_bipartite(4, 4)), 576),
+            ("L(K6)", line_graph(complete_graph(6)), -720),
+            ("T(Q3)", total_graph(hypercube(3)), 48),
+            # thm2's counterexample: ELS(3) = OLS(3)
+            ("L(K3,3)", line_graph(complete_bipartite(3, 3)), 0),
+            ("T(Petersen)", total_graph(petersen_graph()), 0),
+        ],
+    )
+    def test_lone_candidate_values(self, name, g, value):
+        r, rem = divmod(g.m, g.n)
+        assert rem == 0, name
+        assert polynomials._coefficient_by_colorings(g, (r,) * g.n) == value
+
+    def test_off_degree_and_over_degree_are_zero(self):
+        g = cycle_graph(4)
+        assert polynomials._coefficient_by_colorings(g, (1, 1, 1, 0)) == 0
+        assert polynomials._coefficient_by_colorings(g, (3, 1, 0, 0)) == 0
+
+    def test_components_are_walked_apart(self):
+        # the nodes add over components: 5,680 for one L(K4,4), 17,040 for three
+        one = line_graph(complete_bipartite(4, 4))
+        three = disjoint_union(disjoint_union(one, one), one)
+        walk = polynomials._coefficient_by_colorings
+        assert walk(one, (3,) * 16, max_terms=5_680) == 576
+        assert walk(three, (3,) * 48, max_terms=17_040) == 576**3
+        with pytest.raises(SizeGuardExceeded, match="exceed guard 17040$"):
+            walk(disjoint_union(three, one), (3,) * 64, max_terms=17_040)
+        # a zero component ends the walk: L(K3,3) all-2 is 0
+        g = disjoint_union(one, line_graph(complete_bipartite(3, 3)))
+        assert walk(g, (3,) * 16 + (2,) * 9) == 0
+
+    def test_guard_counts_walk_nodes(self):
+        g = line_graph(complete_bipartite(4, 4))
+        with pytest.raises(SizeGuardExceeded, match="exceed guard 100$"):
+            polynomials._coefficient_by_colorings(g, (3,) * g.n, max_terms=100)
+        with pytest.raises(SizeGuardExceeded, match="exceed guard 100$"):
+            atn_from_polynomial(g, max_terms=100)
 
 
 class TestVandermonde:
