@@ -210,6 +210,41 @@ def first_twins(adj) -> list[int]:
     return first
 
 
+def max_clique(g: Graph) -> tuple[int, ...]:
+    """A maximum clique, sorted: Bron-Kerbosch with pivoting over bitsets,
+    depth-first on an explicit stack.  A maximal clique inside the
+    candidates holds the pivot or a non-neighbour of it, so branching on
+    those covers every maximal clique; only a maximum one is wanted, so
+    there is no excluded set, and a branch that cannot beat the best clique
+    so far is dropped.  Branches go in increasing vertex order and the first
+    maximum clique found wins.  ATN >= the clique number, so the polynomial
+    engine starts its cap search there and the orientation engine stops its
+    walk there."""
+    nbrs = [0] * g.n
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    best: tuple[int, ...] = ()
+    stack = [((), (1 << g.n) - 1)]  # (clique, candidate bitset)
+    while stack:
+        clique, cands = stack.pop()
+        if not cands:
+            if len(clique) > len(best):
+                best = clique
+            continue
+        if len(clique) + cands.bit_count() <= len(best):
+            continue
+        members = [v for v in range(g.n) if cands >> v & 1]
+        pivot = max(members, key=lambda v: (cands & nbrs[v]).bit_count())
+        children = []
+        for v in members:
+            if not nbrs[pivot] >> v & 1:
+                children.append((clique + (v,), cands & nbrs[v]))
+                cands &= ~(1 << v)
+        stack.extend(reversed(children))
+    return tuple(sorted(best))
+
+
 def round_robin_factorization(c: int) -> list[list[Edge]]:
     """The circle-method one-factorization of the complete graph K_c, c even.
 

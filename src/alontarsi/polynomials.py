@@ -43,10 +43,11 @@ subgraphs: P_G = (x_u - x_v) P_{G-e}, so the coefficient of x^d in P_G is
 that of x^(d - e_u) in P_{G-e} minus that of x^(d - e_v), and a nonzero
 coefficient of P_G with every exponent at most c forces one of P_{G-e} with
 the same property.  Hence ATN(G) >= ATN(K_w) = w for a clique on w
-vertices, and ATN(G) >= 1 + ceil(m(H)/n(H)) for every subgraph H, since
-each monomial of P_H has degree m(H) over n(H) variables.  Every cap below
-the bound minus one is zero, so skipping those caps changes neither the
-first nonzero cap nor its lexicographically first survivor.
+vertices (`graphs.max_clique` finds a largest one), and ATN(G) >= 1 +
+ceil(m(H)/n(H)) for every subgraph H, since each monomial of P_H has degree
+m(H) over n(H) variables.  Every cap below the bound minus one is zero, so
+skipping those caps changes neither the first nonzero cap nor its
+lexicographically first survivor.
 
 A cap c with c*n = m holds one candidate: the only exponent vector of degree
 m with every entry at most c is all-c.  For Delta-regular G, L(G) is
@@ -71,7 +72,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import SizeGuardExceeded
-from .graphs import Edge, Graph, first_twins
+from .graphs import Edge, Graph, first_twins, max_clique
 
 DEFAULT_TERM_GUARD = 10**7
 
@@ -307,44 +308,15 @@ def _first_nonzero_group(
     return None
 
 
-def _max_clique(g: Graph) -> tuple[int, ...]:
-    """A maximum clique, sorted: Bron-Kerbosch with pivoting over bitsets,
-    depth-first on an explicit stack.  A maximal clique inside the
-    candidates holds the pivot or a non-neighbour of it, so branching on
-    those covers every maximal clique; only a maximum one is wanted, so
-    there is no excluded set, and a branch that cannot beat the best clique
-    so far is dropped.  Branches go in increasing vertex order and the first
-    maximum clique found wins."""
-    nbrs = [0] * g.n
-    for u, v in g.edges:
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
-    best: tuple[int, ...] = ()
-    stack = [((), (1 << g.n) - 1)]  # (clique, candidate bitset)
-    while stack:
-        clique, cands = stack.pop()
-        if not cands:
-            if len(clique) > len(best):
-                best = clique
-            continue
-        if len(clique) + cands.bit_count() <= len(best):
-            continue
-        members = [v for v in range(g.n) if cands >> v & 1]
-        pivot = max(members, key=lambda v: (cands & nbrs[v]).bit_count())
-        children = []
-        for v in members:
-            if not nbrs[pivot] >> v & 1:
-                children.append((clique + (v,), cands & nbrs[v]))
-                cands &= ~(1 << v)
-        stack.extend(reversed(children))
-    return tuple(sorted(best))
-
-
 def _peeling_density(g: Graph) -> tuple[int, tuple[int, ...]]:
     """The largest 1 + ceil(m/n) over the subgraphs left while a vertex of
     least degree (the smallest such) is deleted at a time, with the first
-    vertex set that reaches it; (0, ()) for the empty graph."""
+    vertex set that reaches it; (0, ()) for the empty graph.  The next
+    vertex comes off a heap of (degree, vertex); a degree only falls, so an
+    entry whose degree is out of date is stale and skipped."""
     adj = [set(s) for s in g.adjacency()]
+    heap = [(len(s), v) for v, s in enumerate(adj)]
+    heapq.heapify(heap)
     alive = set(range(g.n))
     m = g.m
     best, where = 0, ()
@@ -352,9 +324,12 @@ def _peeling_density(g: Graph) -> tuple[int, tuple[int, ...]]:
         b = 1 + -(-m // len(alive))
         if b > best:
             best, where = b, tuple(sorted(alive))
-        v = min(alive, key=lambda w: (len(adj[w]), w))
+        degree, v = heapq.heappop(heap)
+        while v not in alive or degree != len(adj[v]):
+            degree, v = heapq.heappop(heap)
         for w in adj[v]:
             adj[w].discard(v)
+            heapq.heappush(heap, (len(adj[w]), w))
         m -= len(adj[v])
         alive.remove(v)
     return best, where
@@ -363,7 +338,7 @@ def _peeling_density(g: Graph) -> tuple[int, tuple[int, ...]]:
 def _lower_bound(g: Graph) -> LowerBound:
     """The larger of the clique and peeling-density bounds on ATN, with its
     witness; the clique wins a tie."""
-    clique = _max_clique(g)
+    clique = max_clique(g)
     density, dense = _peeling_density(g)
     if density > len(clique):
         return LowerBound("density", dense, density)
@@ -470,7 +445,8 @@ def atn_from_polynomial(
     certificate is the lexicographically smallest surviving exponent vector,
     which is the smallest packed key.
 
-    b starts at a lower bound L, the larger of the clique number and the
+    b starts at a lower bound L, the larger of the clique number
+    (`graphs.max_clique`) and the
     largest 1 + ceil(m/n) along the min-degree peeling sequence.  ATN is
     monotone under subgraphs, since P_G = (x_u - x_v) P_{G-e}, and ATN(K_w)
     = w while every monomial of P_H has degree m(H) over n(H) variables; so
@@ -485,9 +461,10 @@ def atn_from_polynomial(
     for finished twins u < w, a prefix with d_u > d_w swaps to a smaller
     survivor of equal |coefficient|, and for adjacent twins d_u = d_w has
     coefficient 0, since the polynomial is antisymmetric in x_u, x_w.  The
-    twin pairs are found once, as they do not depend on the cap.  The
-    memory guard counts every term held at once: the group being expanded
-    plus the groups waiting their turn.
+    blocks and twin pairs do not depend on the cap, so they are built once,
+    when the first cap reaches the expansion search.  The memory guard
+    counts every term held at once: the group being expanded plus the
+    groups waiting their turn.
 
     A cap b-1 with (b-1)*n = m holds the one candidate all-(b-1), and
     `_coefficient_by_colorings` decides it instead: coeff(x^d) * prod d_v!
@@ -497,8 +474,7 @@ def atn_from_polynomial(
     zero one moves on to cap b.  `max_terms` bounds the walk's nodes too.
     """
     bound = _lower_bound(g)
-    blocks = _finishing_blocks(g)
-    twins = _twin_pairs(g)
+    blocks = twins = None
     for b in range(max(bound.bound, 1), g.m + 2):
         if (b - 1) * g.n == g.m:
             lone = (b - 1,) * g.n
@@ -506,6 +482,8 @@ def atn_from_polynomial(
             if coeff:
                 return b, MonomialCertificate(b, lone, coeff, bound)
             continue
+        if blocks is None:
+            blocks, twins = _finishing_blocks(g), _twin_pairs(g)
         poly = _first_nonzero_group(g, blocks, twins, b - 1, max_terms)
         if poly is not None:
             key = min(poly.terms)

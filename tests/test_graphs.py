@@ -1,5 +1,7 @@
 """Graph type, constructions, factorization, and edge coloring."""
 
+from itertools import combinations
+
 import pytest
 
 from alontarsi import (
@@ -199,6 +201,32 @@ class TestDisjointDouble:
         g = path_graph(3)
         d = disjoint_union(g, g)
         assert (3, 4) in d.edges and (4, 5) in d.edges
+
+
+class TestMaxClique:
+    def test_matches_brute_force_clique_number(self):
+        # the clique number by trying every vertex subset
+        for g in all_graphs(6):
+            adj = g.adjacency()
+            omega = max(
+                k
+                for k in range(g.n + 1)
+                for s in combinations(range(g.n), k)
+                if all(w in adj[u] for u, w in combinations(s, 2))
+            )
+            clique = graphs.max_clique(g)
+            assert len(clique) == omega, g.edges
+            assert list(clique) == sorted(set(clique)), g.edges
+            assert all(w in adj[u] for u, w in combinations(clique, 2)), g.edges
+
+    @pytest.mark.parametrize(
+        "name, size", [("petersen", 2), ("K4,4", 2), ("K9", 9), ("4K4", 4)]
+    )
+    def test_named(self, name, size):
+        assert len(graphs.max_clique(named_graph(name))) == size
+
+    def test_empty_graph(self):
+        assert graphs.max_clique(Graph(0, [])) == ()
 
 
 class TestRoundRobin:

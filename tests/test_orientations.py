@@ -168,6 +168,12 @@ BIPARTITE = {
     "S(K5)": (subdivision_graph(complete_graph(5)), True),
 }
 
+# 8 vertices, 22 edges, few twins: ATN 6 with a clique on 6 vertices
+FEW_TWINS_22 = Graph(8, [
+    (0, 1), (0, 3), (0, 4), (0, 6), (0, 7), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
+    (2, 4), (2, 5), (2, 6), (2, 7), (3, 6), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
+])
+
 CYCLIC_K3 = (0, 1, 0)  # 0->1->2->0 over edges (0,1),(0,2),(1,2)
 CYCLIC_C4 = (0, 1, 0, 0)  # 0->1->2->3->0 over edges (0,1),(0,3),(1,2),(2,3)
 
@@ -338,17 +344,9 @@ class TestAtnFromOrientations:
             value, cert = atn_from_orientations(g)
             assert (value, cert.orientation.bits) == (want[0] + 1, want[1]), g.edges
 
-    @pytest.mark.parametrize(
-        "g, censuses, bits, census",
-        [
-            (complete_graph(5), 6, "0x0", (1, 0)),
-            (complete_graph(6), 14, "0x0", (1, 0)),
-            (complete_graph(7), 38, "0x0", (1, 0)),
-            (total_graph(cycle_graph(5)), 3, "0x8", (3, 2)),
-        ],
-        ids=["K5", "K6", "K7", "T(C5)"],
-    )
-    def test_one_census_per_outdegree_vector(self, g, censuses, bits, census, monkeypatch):
+    @pytest.fixture
+    def census_calls(self, monkeypatch):
+        """One entry per eulerian_census call the search makes."""
         calls = []
         census_fn = orientations.eulerian_census
 
@@ -357,10 +355,41 @@ class TestAtnFromOrientations:
             return census_fn(*args, **kwargs)
 
         monkeypatch.setattr(orientations, "eulerian_census", counted)
-        _, cert = atn_from_orientations(g)
-        assert len(calls) == censuses
+        return calls
+
+    @pytest.mark.parametrize(
+        "g, atn, censuses, bits, census",
+        [
+            # the acyclic first leaf meets the clique bound and ends the walk
+            (complete_graph(5), 5, 1, "0x0", (1, 0)),
+            (complete_graph(6), 6, 1, "0x0", (1, 0)),
+            (complete_graph(7), 7, 1, "0x0", (1, 0)),
+            (total_graph(cycle_graph(5)), 4, 3, "0x8", (3, 2)),
+            # the clique bound (2) is not tight, so the walk runs to its end
+            (named_graph("K4,4"), 3, 3, "0x33cc", (90, 0)),
+            # few twins: 1,936 censuses without the clique bound
+            (FEW_TWINS_22, 6, 2, "0x400", (9, 8)),
+        ],
+        ids=["K5", "K6", "K7", "T(C5)", "K4,4", "22-edge"],
+    )
+    def test_one_census_per_outdegree_vector(self, g, atn, censuses, bits, census, census_calls):
+        value, cert = atn_from_orientations(g)
+        assert value == atn
+        assert len(census_calls) == censuses
         assert cert.orientation.bits_hex() == bits
         assert (cert.census.even, cert.census.odd) == census
+
+    def test_clique_bound_ends_the_walk_past_the_guard(self, census_calls):
+        value, cert = atn_from_orientations(complete_graph(9), max_edges=36)
+        assert (value, cert.orientation.bits_hex()) == (9, "0x0")
+        assert len(census_calls) == 1
+
+    def test_non_clique_from_the_finder_fails_loudly(self, monkeypatch):
+        # C5 has no triangle; a finder that claims one would stop the walk
+        # at maximum outdegree 2 if the search trusted it
+        monkeypatch.setattr(orientations, "max_clique", lambda g: (0, 1, 2))
+        with pytest.raises(AssertionError, match="non-clique"):
+            atn_from_orientations(cycle_graph(5))
 
     def test_certificates_match_vector_keyed_search(self):
         # a walk memo keyed on the twin orbit of the partial outdegree vector

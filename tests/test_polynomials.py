@@ -318,6 +318,17 @@ class TestLexFirstSearch:
         (value, cert), calls = self.count_expansions(monkeypatch, lambda: atn_from_polynomial(g))
         assert (value, cert.exponents, cert.coefficient, calls) == (4, (3,) * 16, 576, 0)
 
+    def test_lone_candidate_cap_builds_no_blocks(self, monkeypatch):
+        # the blocks and twin pairs serve the expansion search alone, so a
+        # search that ends at the one-candidate cap never builds them
+        def refuse(g):
+            raise AssertionError("built for a search that expands nothing")
+
+        monkeypatch.setattr(polynomials, "_finishing_blocks", refuse)
+        monkeypatch.setattr(polynomials, "_twin_pairs", refuse)
+        value, cert = atn_from_polynomial(cycle_graph(1000))
+        assert (value, cert.coefficient) == (2, -2)
+
     def test_total_graph_of_petersen(self):
         # all-3 has coefficient 0, so cap 4 is searched by expansion
         g = total_graph(petersen_graph())
@@ -397,6 +408,33 @@ class TestLowerBound:
         assert self.assert_sound(g) == (4, LowerBound("clique", (10, 11, 12, 13), 4))
         # one short: L(K5) is 6-regular with clique number 4, and ATN 5
         assert self.assert_sound(line_graph(complete_graph(5)))[1].bound == 4
+
+    def test_peeling_matches_a_plain_scan(self):
+        # oracle: find each vertex to delete by scanning the live ones for
+        # the least (degree, vertex), with no heap and no stale entries
+        def scanned(g):
+            adj = [set(s) for s in g.adjacency()]
+            alive, m = set(range(g.n)), g.m
+            best, where = 0, ()
+            while alive:
+                b = 1 + -(-m // len(alive))
+                if b > best:
+                    best, where = b, tuple(sorted(alive))
+                v = min(alive, key=lambda w: (len(adj[w]), w))
+                for w in adj[v]:
+                    adj[w].discard(v)
+                m -= len(adj[v])
+                alive.remove(v)
+            return best, where
+
+        rng = random.Random(7)
+        graphs = list(all_graphs(6))
+        for _ in range(200):
+            n = rng.randint(1, 20)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            graphs.append(Graph(n, rng.sample(pairs, rng.randint(0, len(pairs)))))
+        for g in graphs:
+            assert polynomials._peeling_density(g) == scanned(g), g.edges
 
 
 class TestCoefficientOf:
