@@ -28,16 +28,6 @@ would break the order, so only the prefix is split on.  A survivor has degree
 m with every exponent at most the cap, so it leaves exactly cap*n - m
 capacity unused; a group whose prefix alone leaves more is dropped.
 
-Vertices u < w are twins when N(u) - {w} = N(w) - {u}.  Swapping twins maps
-each factor to plus or minus a factor, so it maps the polynomial to plus or
-minus itself: the coefficient of x^d is +-1 times that of the d with d_u and d_w
-swapped, which is lexicographically smaller when d_u > d_w.  For adjacent
-twins the swap negates (x_u - x_w) and pairs up the other factors' signs,
-so the polynomial is antisymmetric in x_u, x_w and every d with d_u = d_w
-has coefficient 0.  So once both twins are finished, a group whose prefix
-has d_u > d_w, or d_u = d_w for adjacent twins, holds no lexicographically
-first survivor and is dropped; the group holding it is never dropped.
-
 The search over caps starts at a proven lower bound.  ATN is monotone under
 subgraphs: P_G = (x_u - x_v) P_{G-e}, so the coefficient of x^d in P_G is
 that of x^(d - e_u) in P_{G-e} minus that of x^(d - e_v), and a nonzero
@@ -72,7 +62,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import SizeGuardExceeded
-from .graphs import Edge, Graph, first_twins, max_clique
+from .graphs import Edge, Graph, max_clique
 
 DEFAULT_TERM_GUARD = 10**7
 
@@ -243,31 +233,8 @@ def _finishing_blocks(g: Graph) -> list[tuple[tuple[Edge, ...], int]]:
     return blocks
 
 
-def _twin_pairs(g: Graph) -> list[tuple[int, int, bool]]:
-    """Every (u, w, adjacent) with u < w and N(u) - {w} == N(w) - {u}."""
-    adj = g.adjacency()
-    first = first_twins(adj)
-    return [
-        (u, w, w in adj[u])
-        for u in range(g.n)
-        for w in range(u + 1, g.n)
-        if first[u] == first[w]
-    ]
-
-
-def _twin_swap_beats(prefix: int, checks, mask: int) -> bool:
-    """Whether swapping some twin pair maps every survivor with this prefix
-    to a lexicographically smaller survivor, or the pair is adjacent and
-    its equal fields force the coefficient to zero."""
-    for su, sw, adjacent in checks:
-        fu, fw = (prefix >> su) & mask, (prefix >> sw) & mask
-        if fu > fw or (adjacent and fu == fw):
-            return True
-    return False
-
-
 def _first_nonzero_group(
-    g: Graph, blocks, twins, cap: int, max_terms: int
+    g: Graph, blocks, cap: int, max_terms: int
 ) -> SparsePolynomial | None:
     """The group of the cap-capped expansion that holds its smallest key,
     or None if that expansion is zero: the depth-first search over
@@ -276,13 +243,6 @@ def _first_nonzero_group(
     width = (cap + 1).bit_length()
     mask = (1 << width) - 1
     slack = cap * n - g.m
-    # per block, the twin pairs inside its finished prefix, as field shifts
-    # within the prefix
-    checks = [
-        [((k - 1 - u) * width, (k - 1 - w) * width, adjacent)
-         for u, w, adjacent in twins if w < k]
-        for _, k in blocks
-    ]
     stack = [(0, {0: 1})]  # (block index, group terms), smallest prefix last
     held = 1  # terms waiting on the stack, counted by the memory guard
     while stack:
@@ -302,7 +262,7 @@ def _first_nonzero_group(
             unused = cap * k - sum(
                 (prefix >> s) & mask for s in range(0, k * width, width)
             )
-            if unused <= slack and not _twin_swap_beats(prefix, checks[j], mask):
+            if unused <= slack:
                 stack.append((j + 1, groups[prefix]))
                 held += len(groups[prefix])
     return None
@@ -457,14 +417,9 @@ def atn_from_polynomial(
     blocks splits the live terms on the finished prefix of vertices, visits
     the groups in lexicographic order, drops groups that leave more capacity
     unused than a survivor can, and stops at the first group still nonzero
-    after the last factor.  It also drops a group that a twin swap beats:
-    for finished twins u < w, a prefix with d_u > d_w swaps to a smaller
-    survivor of equal |coefficient|, and for adjacent twins d_u = d_w has
-    coefficient 0, since the polynomial is antisymmetric in x_u, x_w.  The
-    blocks and twin pairs do not depend on the cap, so they are built once,
-    when the first cap reaches the expansion search.  The memory guard
-    counts every term held at once: the group being expanded plus the
-    groups waiting their turn.
+    after the last factor.  The blocks do not depend on the cap, so they
+    are built once.  The memory guard counts every term held at once: the
+    group being expanded plus the groups waiting their turn.
 
     A cap b-1 with (b-1)*n = m holds the one candidate all-(b-1), and
     `_coefficient_by_colorings` decides it instead: coeff(x^d) * prod d_v!
@@ -474,7 +429,7 @@ def atn_from_polynomial(
     zero one moves on to cap b.  `max_terms` bounds the walk's nodes too.
     """
     bound = _lower_bound(g)
-    blocks = twins = None
+    blocks = _finishing_blocks(g)
     for b in range(max(bound.bound, 1), g.m + 2):
         if (b - 1) * g.n == g.m:
             lone = (b - 1,) * g.n
@@ -482,9 +437,7 @@ def atn_from_polynomial(
             if coeff:
                 return b, MonomialCertificate(b, lone, coeff, bound)
             continue
-        if blocks is None:
-            blocks, twins = _finishing_blocks(g), _twin_pairs(g)
-        poly = _first_nonzero_group(g, blocks, twins, b - 1, max_terms)
+        poly = _first_nonzero_group(g, blocks, b - 1, max_terms)
         if poly is not None:
             key = min(poly.terms)
             return b, MonomialCertificate(b, poly.unpack(key), poly.terms[key], bound)

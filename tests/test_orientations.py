@@ -174,6 +174,11 @@ FEW_TWINS_22 = Graph(8, [
     (2, 4), (2, 5), (2, 6), (2, 7), (3, 6), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
 ])
 
+# three K4s sharing vertex 0: 10 vertices, 18 edges, three twin triples
+THREE_K4S = Graph(10, [
+    e for block in [(0, 1, 2, 3), (0, 4, 5, 6), (0, 7, 8, 9)] for e in combinations(block, 2)
+])
+
 CYCLIC_K3 = (0, 1, 0)  # 0->1->2->0 over edges (0,1),(0,2),(1,2)
 CYCLIC_C4 = (0, 1, 0, 0)  # 0->1->2->3->0 over edges (0,1),(0,3),(1,2),(2,3)
 
@@ -365,12 +370,15 @@ class TestAtnFromOrientations:
             (complete_graph(6), 6, 1, "0x0", (1, 0)),
             (complete_graph(7), 7, 1, "0x0", (1, 0)),
             (total_graph(cycle_graph(5)), 4, 3, "0x8", (3, 2)),
-            # the clique bound (2) is not tight, so the walk runs to its end
+            # the clique bound (2) is not tight, so the walk runs to its end;
+            # it takes 3 censuses with or without the twin-orbit key
             (named_graph("K4,4"), 3, 3, "0x33cc", (90, 0)),
             # few twins: 1,936 censuses without the clique bound
             (FEW_TWINS_22, 6, 2, "0x400", (9, 8)),
+            # the twin-orbit key: 71 censuses without it
+            (THREE_K4S, 4, 19, "0x1f8", (1, 0)),
         ],
-        ids=["K5", "K6", "K7", "T(C5)", "K4,4", "22-edge"],
+        ids=["K5", "K6", "K7", "T(C5)", "K4,4", "22-edge", "3K4-at-a-vertex"],
     )
     def test_one_census_per_outdegree_vector(self, g, atn, censuses, bits, census, census_calls):
         value, cert = atn_from_orientations(g)

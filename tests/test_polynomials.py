@@ -58,10 +58,9 @@ def search_from_cap_zero(g):
     """The search of `atn_from_polynomial` with no lower bound: every cap
     from 0 up, as (b, exponents, coefficient)."""
     blocks = polynomials._finishing_blocks(g)
-    twins = polynomials._twin_pairs(g)
     for b in range(1, g.m + 2):
         poly = polynomials._first_nonzero_group(
-            g, blocks, twins, b - 1, polynomials.DEFAULT_TERM_GUARD
+            g, blocks, b - 1, polynomials.DEFAULT_TERM_GUARD
         )
         if poly is not None:
             key = min(poly.terms)
@@ -239,14 +238,18 @@ class TestLexFirstSearch:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_complete_graphs(self, n):
-        # every vertex pair is an adjacent twin pair
+        # the Vandermonde determinant: its monomials are the permutations of
+        # 0..n-1, so every group whose finished prefix repeats an exponent
+        # ends at zero
         self.assert_matches_whole_expansion(complete_graph(n))
 
-    def test_complete_tripartite(self):
-        # K2,2,2: each part is a non-adjacent twin pair
-        parts = [(0, 1), (2, 3), (4, 5)]
+    @pytest.mark.parametrize("size", [2, 3], ids=["K2,2,2", "K3,3,3"])
+    def test_complete_tripartite(self, size):
+        # symmetric graphs; on K3,3,3 the bound is 4 and the ATN is 5, so the
+        # search expands past a zero cap
+        parts = [range(i * size, (i + 1) * size) for i in range(3)]
         edges = [(u, v) for i, a in enumerate(parts) for b in parts[i + 1 :] for u in a for v in b]
-        self.assert_matches_whole_expansion(Graph(6, edges))
+        self.assert_matches_whole_expansion(Graph(3 * size, edges))
 
     @pytest.mark.parametrize("clone_edge", [False, True])
     @pytest.mark.parametrize("seed", range(10))
@@ -255,7 +258,8 @@ class TestLexFirstSearch:
         n = rng.randint(3, 6)
         base = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
         v = rng.randrange(n)
-        # vertex n copies v's neighbourhood, so v and n are twins
+        # vertex n copies v's neighbourhood: random graphs with a symmetry,
+        # relabelled so that v and its copy sit anywhere in the order
         edges = list(base.edges) + [(x, n) for x in sorted(base.adjacency()[v])]
         if clone_edge:
             edges.append((v, n))
@@ -279,13 +283,6 @@ class TestLexFirstSearch:
         monkeypatch.setattr(polynomials, "expand_capped", counting)
         value = search()
         return value, calls
-
-    def test_k8_expansion_count(self, monkeypatch):
-        # the twin rule alone, on caps 0..7: 8,814 expansions without it
-        value, calls = self.count_expansions(
-            monkeypatch, lambda: search_from_cap_zero(complete_graph(8))[0]
-        )
-        assert value == 8 and calls == 213
 
     def test_k8_expansion_count_from_bound(self, monkeypatch):
         # the clique bound starts the search at cap 7, one expansion per block
@@ -317,17 +314,6 @@ class TestLexFirstSearch:
         g = line_graph(complete_bipartite(4, 4))
         (value, cert), calls = self.count_expansions(monkeypatch, lambda: atn_from_polynomial(g))
         assert (value, cert.exponents, cert.coefficient, calls) == (4, (3,) * 16, 576, 0)
-
-    def test_lone_candidate_cap_builds_no_blocks(self, monkeypatch):
-        # the blocks and twin pairs serve the expansion search alone, so a
-        # search that ends at the one-candidate cap never builds them
-        def refuse(g):
-            raise AssertionError("built for a search that expands nothing")
-
-        monkeypatch.setattr(polynomials, "_finishing_blocks", refuse)
-        monkeypatch.setattr(polynomials, "_twin_pairs", refuse)
-        value, cert = atn_from_polynomial(cycle_graph(1000))
-        assert (value, cert.coefficient) == (2, -2)
 
     def test_total_graph_of_petersen(self):
         # all-3 has coefficient 0, so cap 4 is searched by expansion
