@@ -223,8 +223,10 @@ def connected_graphs(max_edges: int, max_vertices: int | None = None) -> list[Gr
     from a connected m-edge graph either by joining two existing vertices
     (undoing a non-cut edge) or by attaching a pendant vertex (undoing a
     leaf).  Includes the one-vertex graph.  Deterministic output order.  A
-    max_vertices below 1 raises ValueError.
+    negative max_edges or a max_vertices below 1 raises ValueError.
     """
+    if max_edges < 0:
+        raise ValueError(f"edge budget must be non-negative, got {max_edges}")
     if max_vertices is not None and max_vertices < 1:
         raise ValueError(f"vertex bound must be positive, got {max_vertices}")
     return [g for _, g in _connected_catalog(max_edges, max_vertices)]
@@ -259,8 +261,10 @@ def graphs_with_edge_budget(max_edges: int) -> list[Graph]:
     Each union is grown by one component at a time, and its sort key is
     built from the component keys the catalog already computed; no union is
     canonicalized again.  Sorted by (m, n, canonical_key).  Includes the
-    empty graph on zero vertices.
+    empty graph on zero vertices.  A negative max_edges raises ValueError.
     """
+    if max_edges < 0:
+        raise ValueError(f"edge budget must be non-negative, got {max_edges}")
     comps = [(key, g) for key, g in _connected_catalog(max_edges) if g.m >= 1]
     out: list[tuple[tuple, Graph]] = []
     # an explicit stack, not a recursive closure: the closure's reference

@@ -4,6 +4,12 @@ Commands: construct, atn, census, choosable, verify, efl.
 Exit codes: 0 success, 1 claim failure, 2 bad input, 3 guard violation,
 4 internal cross-check mismatch, 141 (128 + SIGPIPE) the reader of stdout
 closed it early.
+
+`main` builds only the parser of the command that argv names, so a call
+pays for one command's arguments, not all six; any other argv (none, -h,
+an unknown command, arguments the command does not know) goes to the full
+parser from `build_parser`, so help, usage and error text stay those of
+the full parser.
 """
 
 from __future__ import annotations
@@ -200,6 +206,71 @@ def _cmd_efl(args) -> int:
     return EXIT_OK if ok else EXIT_CLAIM_FAILURE
 
 
+def _construct_arguments(p: argparse.ArgumentParser):
+    p.add_argument("kind", choices=[*_CONSTRUCTIONS, "efl"])
+    p.add_argument("input", help="edge-list file (or JSON config for 'efl')")
+    p.add_argument("-o", "--output", default=None, help="output edge list (default stdout)")
+
+
+def _atn_arguments(p: argparse.ArgumentParser):
+    p.add_argument("input")
+    p.add_argument("--method", choices=["poly", "orient", "both"], default="poly")
+    p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_GUARD)
+    p.add_argument("--max-edges", type=int, default=CENSUS_GUARD)
+    p.add_argument("--format", choices=["json", "text"], default="text")
+
+
+def _census_arguments(p: argparse.ArgumentParser):
+    p.add_argument("input")
+    p.add_argument("--bits", required=True, help="orientation bit vector as hex")
+    p.add_argument("--max-edges", type=int, default=CENSUS_GUARD)
+
+
+def _choosable_arguments(p: argparse.ArgumentParser):
+    p.add_argument("input")
+    p.add_argument("-k", type=int, required=True)
+    p.add_argument("--max-n", type=int, default=CHOOSABLE_N_GUARD)
+    p.add_argument("--max-k", type=int, default=CHOOSABLE_K_GUARD)
+    p.add_argument("--format", choices=["json", "text"], default="text")
+
+
+def _verify_arguments(p: argparse.ArgumentParser):
+    p.add_argument("campaign", choices=list(CAMPAIGNS))
+    p.add_argument("--config", default=None, help="JSON file overriding campaign config")
+    p.add_argument("--max-edges", type=int, default=None)
+    p.add_argument("--max-terms", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--format", choices=["json", "text"], default="json")
+
+
+def _efl_arguments(p: argparse.ArgumentParser):
+    p.add_argument("action", choices=["generate", "certify"])
+    p.add_argument("-k", type=int, default=3)
+    p.add_argument("--config", default=None, help="certify one config from a JSON file")
+    p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_GUARD)
+
+
+# command -> (help, parser keyword arguments, adds its arguments, handler)
+_COMMANDS = {
+    "construct": (
+        "build a derived graph and write its edge list",
+        {"epilog": _CONSTRUCT_NUMBERING, "formatter_class": argparse.RawDescriptionHelpFormatter},
+        _construct_arguments,
+        _cmd_construct,
+    ),
+    "atn": ("compute the Alon-Tarsi number with a certificate", {}, _atn_arguments, _cmd_atn),
+    "census": (
+        "Eulerian subdigraph census of one orientation",
+        {},
+        _census_arguments,
+        _cmd_census,
+    ),
+    "choosable": ("exhaustive k-choosability check", {}, _choosable_arguments, _cmd_choosable),
+    "verify": ("run a claim-verification campaign", {}, _verify_arguments, _cmd_verify),
+    "efl": ("generate or certify clique configurations", {}, _efl_arguments, _cmd_efl),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alontarsi",
@@ -207,62 +278,30 @@ def build_parser() -> argparse.ArgumentParser:
         "claim-verification campaigns at desk scale.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "construct",
-        help="build a derived graph and write its edge list",
-        epilog=_CONSTRUCT_NUMBERING,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("kind", choices=[*_CONSTRUCTIONS, "efl"])
-    p.add_argument("input", help="edge-list file (or JSON config for 'efl')")
-    p.add_argument("-o", "--output", default=None, help="output edge list (default stdout)")
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("atn", help="compute the Alon-Tarsi number with a certificate")
-    p.add_argument("input")
-    p.add_argument("--method", choices=["poly", "orient", "both"], default="poly")
-    p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_GUARD)
-    p.add_argument("--max-edges", type=int, default=CENSUS_GUARD)
-    p.add_argument("--format", choices=["json", "text"], default="text")
-    p.set_defaults(func=_cmd_atn)
-
-    p = sub.add_parser("census", help="Eulerian subdigraph census of one orientation")
-    p.add_argument("input")
-    p.add_argument("--bits", required=True, help="orientation bit vector as hex")
-    p.add_argument("--max-edges", type=int, default=CENSUS_GUARD)
-    p.set_defaults(func=_cmd_census)
-
-    p = sub.add_parser("choosable", help="exhaustive k-choosability check")
-    p.add_argument("input")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=CHOOSABLE_N_GUARD)
-    p.add_argument("--max-k", type=int, default=CHOOSABLE_K_GUARD)
-    p.add_argument("--format", choices=["json", "text"], default="text")
-    p.set_defaults(func=_cmd_choosable)
-
-    p = sub.add_parser("verify", help="run a claim-verification campaign")
-    p.add_argument("campaign", choices=list(CAMPAIGNS))
-    p.add_argument("--config", default=None, help="JSON file overriding campaign config")
-    p.add_argument("--max-edges", type=int, default=None)
-    p.add_argument("--max-terms", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("efl", help="generate or certify clique configurations")
-    p.add_argument("action", choices=["generate", "certify"])
-    p.add_argument("-k", type=int, default=3)
-    p.add_argument("--config", default=None, help="certify one config from a JSON file")
-    p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_GUARD)
-    p.set_defaults(func=_cmd_efl)
-
+    for name, (help_text, kwargs, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, **kwargs)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace the full parser would give, from the named command's
+    parser alone when that parser accepts all of argv."""
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        _, kwargs, add_arguments, handler = _COMMANDS[name]
+        parser = argparse.ArgumentParser(prog=f"alontarsi {name}", **kwargs)
+        add_arguments(parser)
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
+        if not extras:
+            args.func = handler
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except SizeGuardExceeded as exc:

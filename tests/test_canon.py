@@ -268,6 +268,14 @@ class TestAllGraphs:
         with pytest.raises(ValueError, match="vertex bound must be positive"):
             connected_graphs(3, max_vertices=bound)
 
+    def test_negative_edge_budget_rejected(self):
+        # a budget of 0 is the smallest catalog, not an error
+        for catalog in (connected_graphs, graphs_with_edge_budget):
+            with pytest.raises(ValueError, match="edge budget must be non-negative, got -1"):
+                catalog(-1)
+        assert [g.n for g in connected_graphs(0)] == [1]
+        assert [g.n for g in graphs_with_edge_budget(0)] == [0]
+
 
 class TestEdgeBudgetCatalog:
     def test_counts_by_edges(self):

@@ -1,5 +1,6 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import re
@@ -556,6 +557,19 @@ class TestVerifyGuards:
         captured = capsys.readouterr()
         assert captured.out == "" and "invalid input" in captured.err
 
+    @pytest.mark.parametrize("campaign", ["thm2", "duality"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_negative_edge_budget_is_bad_input(self, campaign, via, tmp_path, capsys):
+        # the catalogs refuse it: no vacuous pass on K1 or the empty graph
+        if via == "flag":
+            argv = ["verify", campaign, "--max-edges", "-1"]
+        else:
+            argv = ["verify", campaign, "--config", _config_file(tmp_path, {"max_edges": -1})]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input: edge budget must be non-negative" in captured.err
+
     def test_duality_census_uses_the_table_guard(self):
         # the worker sees no campaign config: the census table's own guard
         # applies, and the empty graph has its one orientation censused
@@ -690,3 +704,96 @@ class TestReadmeSynopsis:
             named = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", text))
             known = {opt for strings in options[name] for opt in strings}
             assert named <= known, f"README synopsis of '{name}' names {sorted(named - known)}"
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """A list that grows by one on every ArgumentParser construction."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+# valid argv for every command; parsing opens no file
+VALID_ARGV = [
+    ["construct", "line", "g.txt"],
+    ["construct", "efl", "cfg.json", "-o", "-"],
+    ["construct", "augment", "g.txt", "--output", "out.txt"],
+    ["atn", "g.txt"],
+    ["atn", "g.txt", "--meth", "orient", "--format", "json"],
+    ["atn", "g.txt", "--method", "both", "--max-terms", "9", "--max-edges", "5", "--format", "text"],
+    ["census", "g.txt", "--bits", "0x2a"],
+    ["census", "g.txt", "--max-edges", "3", "--bits", "1"],
+    ["choosable", "g.txt", "-k", "2"],
+    ["choosable", "g.txt", "-k", "3", "--max-n", "4", "--max-k", "2", "--format", "json"],
+    ["verify", "thm1"],
+    ["verify", "duality", "--config", "cfg.json", "--max-edges", "4", "--format", "text"],
+    ["verify", "cor3", "--max-terms", "7", "--seed", "3", "--format", "json"],
+    ["efl", "generate"],
+    ["efl", "certify", "-k", "2", "--config", "cfg.json", "--max-terms", "10"],
+]
+
+# argv that end in SystemExit: help, usage and errors of every kind
+EXITING_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["atn"],
+    *([name, "-h"] for name in ["construct", "atn", "census", "choosable", "verify", "efl"]),
+    ["construct", "line"],
+    ["census", "g.txt"],
+    ["atn", "g.txt", "--method", "nope"],
+    ["choosable", "g.txt", "-k", "x"],
+    ["atn", "g.txt", "--bogus"],
+    ["atn", "g.txt", "extra"],
+    ["atn", "--bogus"],
+    ["verify", "thm1", "--jobs", "2"],
+    ["verify", "nope"],
+    ["efl", "frob"],
+    ["-h", "atn"],
+    ["atn", "--help", "g.txt"],
+]
+
+
+class TestParserPerCommand:
+    """main builds only the named command's parser, with the full parser's
+    results: the same namespace, and the same exit code, help and errors."""
+
+    @pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+    def test_namespace_matches_full_parser(self, argv, parsers_built):
+        fast = vars(cli._parse(argv))
+        assert parsers_built == [f"alontarsi {argv[0]}"]
+        full = vars(cli.build_parser().parse_args(argv))
+        assert fast == full and fast["command"] == argv[0]
+
+    @pytest.mark.parametrize("argv", EXITING_ARGV, ids=lambda argv: " ".join(argv) or "none")
+    def test_exit_and_text_match_full_parser(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        outcomes = []
+        for parse in (main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            outcomes.append((exc.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+
+    def test_argv_defaults_to_sys_argv(self, k3_file, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["alontarsi", "atn", k3_file, "--format", "json"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["atn"] == 3
+
+    def test_one_parser_per_call(self, k3_file, parsers_built, capsys):
+        assert main(["atn", k3_file, "--format", "json"]) == 0
+        assert parsers_built == ["alontarsi atn"]
+        # an argument atn lacks: the full parser (7 parsers) reports it
+        parsers_built.clear()
+        with pytest.raises(SystemExit):
+            main(["atn", k3_file, "--bogus"])
+        assert len(parsers_built) == 1 + 7
+        assert "alontarsi: error: unrecognized arguments: --bogus" in capsys.readouterr().err
