@@ -28,7 +28,7 @@ print("C4 is 2-choosable:", ok, "(even cycles are)")
 print(f"\n{'graph':<24} {'chi':>4} {'ch':>4} {'ATN':>4}")
 for g in connected_graphs(6, max_vertices=4):
     chi = chromatic_number(g)
-    ch = choice_number(g, max_k=4)
+    ch = choice_number(g)
     atn, _ = atn_from_polynomial(g)
     assert chi <= ch <= atn
     print(f"{str(g.edges):<24} {chi:>4} {ch:>4} {atn:>4}")
@@ -39,7 +39,7 @@ print("chi <= ch <= ATN held on every instance")
 # Alon-Tarsi bound is ATN(L(G)) <= Delta(G) + 1; L(C4) is C4 again
 L = line_graph(cycle_graph(4))
 chi = chromatic_number(L)
-ch = choice_number(L, max_k=4)
+ch = choice_number(L)
 atn, _ = atn_from_polynomial(L)
 assert chi == ch and atn <= 2 + 1
 print(f"\nL(C4): chi = {chi}, ch = {ch}, ATN = {atn} (Delta(C4) + 1 = 3)")

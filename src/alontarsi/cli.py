@@ -19,9 +19,9 @@ import json
 import os
 import sys
 
-from .coloring import CHOOSABLE_K_GUARD, CHOOSABLE_N_GUARD, is_k_choosable
+from .coloring import is_k_choosable
 from .efl import EflConfig, build_graph, generate_all, generate_up_to, theorem4_certify
-from .errors import InvalidConfig, SizeGuardExceeded
+from .errors import SizeGuardExceeded
 from .graphs import (
     class2_augment,
     disjoint_union,
@@ -135,7 +135,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_choosable(args) -> int:
     g = _read_graph(args.input)
-    ok, witness = is_k_choosable(g, args.k, max_n=args.max_n, max_k=args.max_k)
+    ok, witness = is_k_choosable(g, args.k, max_nodes=args.max_nodes)
     payload = {
         "k": args.k,
         "choosable": ok,
@@ -229,8 +229,7 @@ def _census_arguments(p: argparse.ArgumentParser):
 def _choosable_arguments(p: argparse.ArgumentParser):
     p.add_argument("input")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=CHOOSABLE_N_GUARD)
-    p.add_argument("--max-k", type=int, default=CHOOSABLE_K_GUARD)
+    p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("--format", choices=["json", "text"], default="text")
 
 
@@ -317,7 +316,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (InvalidConfig, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

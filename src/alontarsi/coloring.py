@@ -8,9 +8,11 @@ chromatic_number hands that the lists range(min(k, v + 1)) for increasing k.
 is_k_choosable walks the colorings of the core minus its last vertex at
 every last-level node of its list-assignment enumeration.
 
-Choosability checking is doubly exponential, so the guards here are strict
-and loud.  Three exact reductions keep the interesting cases reachable
-without weakening the oracle:
+Choosability checking is doubly exponential, so each call of
+chromatic_number or is_k_choosable spends one budget, COLORING_GUARD search
+nodes (a list assignment tried or a color placed), across all its walks.
+Three exact reductions keep the interesting cases reachable without
+weakening the oracle:
 
   * peeling: a vertex with degree below k can always be colored last, so
     is_k_choosable(G, k) equals is_k_choosable on the k-core.  In particular
@@ -37,9 +39,7 @@ from itertools import combinations, product
 from .errors import SizeGuardExceeded
 from .graphs import Graph
 
-CHROMATIC_GUARD = 12
-CHOOSABLE_N_GUARD = 6
-CHOOSABLE_K_GUARD = 3
+COLORING_GUARD = 10**6
 
 
 def _k_core(g: Graph, k: int) -> tuple[Graph, list[int]]:
@@ -53,33 +53,44 @@ def _k_core(g: Graph, k: int) -> tuple[Graph, list[int]]:
         keep = [v for v in keep if v not in low]
 
 
-def list_colorings(g: Graph, lists):
+def list_colorings(g: Graph, lists, budget=None):
     """Every proper coloring picking each vertex's color from its list, as
     tuples, in the order the lists are iterated (lexicographic for sorted
-    lists).  Plain backtracking in vertex order, yielded lazily."""
-    earlier: list[list[int]] = [[] for _ in range(g.n)]
+    lists).  Plain backtracking in vertex order on an explicit stack of list
+    iterators, yielded lazily.  budget, a one-item list of the nodes left,
+    is kept current at each yield and at the end."""
+    n = g.n
+    earlier: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.edges:
         earlier[v].append(u)
-    chosen = [-1] * g.n
-
-    def rec(v: int):
-        if v == g.n:
-            yield tuple(chosen)
-            return
-        for c in lists[v]:
-            if all(chosen[w] != c for w in earlier[v]):
+    chosen = [-1] * n
+    budget = budget or [float("inf")]
+    left = budget[0]
+    if not n:
+        yield ()
+    choices = [iter(lists[0])] if n else []  # choices[v] iterates v's list
+    while choices:
+        v = len(choices) - 1
+        before = earlier[v]
+        for c in choices[v]:
+            if all(chosen[w] != c for w in before):
+                left -= 1
+                if left < 0:
+                    raise SizeGuardExceeded("list_colorings: node budget spent")
                 chosen[v] = c
-                yield from rec(v + 1)
+                if v + 1 < n:
+                    choices.append(iter(lists[v + 1]))
+                    break
+                budget[0] = left
+                yield tuple(chosen)
+        else:
+            choices.pop()
+    budget[0] = left
 
-    try:
-        yield from rec(0)
-    finally:
-        del rec  # rec holds itself through its closure; this breaks the cycle
 
-
-def proper_coloring_from_lists(g: Graph, lists) -> tuple[int, ...] | None:
+def proper_coloring_from_lists(g: Graph, lists, budget=None) -> tuple[int, ...] | None:
     """The first coloring of list_colorings, or None if there is none."""
-    return next(list_colorings(g, lists), None)
+    return next(list_colorings(g, lists, budget), None)
 
 
 def chromatic_number(g: Graph) -> int:
@@ -89,12 +100,17 @@ def chromatic_number(g: Graph) -> int:
     The lists lose no coloring: rename the colors of any proper k-coloring
     by first appearance in vertex order, and vertex v gets a color <= v.
     """
-    if g.n > CHROMATIC_GUARD:
-        raise SizeGuardExceeded(f"chromatic guard: n={g.n} > {CHROMATIC_GUARD}")
-    for k in range(g.n + 1):
-        lists = [range(min(k, v + 1)) for v in range(g.n)]
-        if proper_coloring_from_lists(g, lists) is not None:
-            return k
+    limit = COLORING_GUARD
+    budget = [limit]
+    try:
+        for k in range(g.n + 1):
+            lists = [range(min(k, v + 1)) for v in range(g.n)]
+            if proper_coloring_from_lists(g, lists, budget) is not None:
+                return k
+    except SizeGuardExceeded:
+        raise SizeGuardExceeded(
+            f"chromatic_number: nodes {limit + 1} exceed guard {limit} (n={g.n})"
+        ) from None
     raise AssertionError("n colors always suffice")
 
 
@@ -108,70 +124,79 @@ def _candidate_lists(used: int, k: int):
         yield cand
 
 
+def _bad_last_list(rest: Graph, lists, nbrs, used: int, k: int, budget):
+    """The first candidate list of the last core vertex that no coloring of
+    the rest from lists leaves room in (the closed form above), or None."""
+    common = set(range(used))
+    for c in list_colorings(rest, lists, budget):
+        common.intersection_update(c[w] for w in nbrs)
+        if len(common) < k:
+            return None
+    return next(l for l in _candidate_lists(used, k) if common.issuperset(l))
+
+
 def is_k_choosable(
-    g: Graph,
-    k: int,
-    max_n: int = CHOOSABLE_N_GUARD,
-    max_k: int = CHOOSABLE_K_GUARD,
+    g: Graph, k: int, max_nodes: int | None = None
 ) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
     """Whether every assignment of k-element lists admits a proper coloring.
 
-    Returns (True, None) or (False, bad_assignment).  The guard applies only
-    when enumeration is actually needed, i.e. to the k-core; peeled instances
-    of any size resolve exactly without search.  Raises ValueError for k < 0.
+    Returns (True, None) or (False, bad_assignment), after at most max_nodes
+    (default COLORING_GUARD) search nodes; peeled instances of any size
+    resolve exactly without search.  A negative k or max_nodes is a ValueError.
     """
-    if k < 0:
-        raise ValueError(f"list size k must be at least 0, got {k}")
+    limit = COLORING_GUARD if max_nodes is None else max_nodes
+    if k < 0 or limit < 0:
+        raise ValueError(f"k and max_nodes must be non-negative, got {k}, {limit}")
     if k == 0:
         return (g.n == 0, tuple(() for _ in range(g.n)) if g.n else None)
     core, keep = _k_core(g, k)
     if core.n == 0:
         return True, None
-    if core.n > max_n or k > max_k:
-        raise SizeGuardExceeded(
-            f"choosability guard: core n={core.n} (max {max_n}), k={k} (max {max_k})"
-        )
 
     last = core.n - 1
     rest, _ = core.induced(range(last))
     last_nbrs = core.adjacency()[last]
     assigned: list[tuple[int, ...]] = []
-
-    def search(used: int):
-        if len(assigned) == last:
-            # the colors every coloring of core - last puts on last's
-            # neighbours; a list is bad exactly when it lies inside them
-            common = set(range(used))
-            for c in list_colorings(rest, assigned):
-                common.intersection_update(c[w] for w in last_nbrs)
-                if len(common) < k:
-                    return None
-            first_bad = next(l for l in _candidate_lists(used, k) if common.issuperset(l))
-            return assigned + [first_bad]
-        for cand in _candidate_lists(used, k):
-            assigned.append(cand)
-            bad = search(max(used, cand[-1] + 1))
-            if bad is not None:
-                return bad
-            assigned.pop()
-        return None
-
+    budget = [limit]
+    # depth first on an explicit stack: levels[i] iterates core vertex i's
+    # candidate lists, after the used[i] colors of vertices 0..i-1
+    levels, used = [_candidate_lists(0, k)], [0]
+    bad = None
     try:
-        bad = search(0)
-    finally:
-        del search  # search holds itself through its closure; this breaks the cycle
+        while levels and bad is None:
+            i = len(levels) - 1
+            for cand in levels[i]:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise SizeGuardExceeded("is_k_choosable: node budget spent")
+                assigned[i:] = [cand]
+                now = max(used[i], cand[-1] + 1)
+                if i + 1 < last:
+                    levels.append(_candidate_lists(now, k))
+                    used.append(now)
+                    break
+                bad = _bad_last_list(rest, assigned, last_nbrs, now, k, budget)
+                if bad is not None:
+                    break
+            else:
+                levels.pop()
+                used.pop()
+    except SizeGuardExceeded:
+        raise SizeGuardExceeded(
+            f"is_k_choosable: nodes {limit + 1} exceed guard {limit} (core n={core.n}, k={k})"
+        ) from None
     if bad is None:
         return True, None
     # lift the core counterexample back to g: peeled vertices are always
     # colorable, so any list there keeps the assignment bad
     filler = tuple(range(k))
     lists = [filler] * g.n
-    for core_v, orig_v in enumerate(keep):
-        lists[orig_v] = bad[core_v]
+    for orig_v, core_list in zip(keep, (*assigned, bad)):
+        lists[orig_v] = core_list
     return False, tuple(lists)
 
 
-def choice_number(g: Graph, max_k: int = CHOOSABLE_K_GUARD) -> int:
+def choice_number(g: Graph) -> int:
     """Least k such that g is k-choosable; monotone, so scan k upward.
 
     Terminates by k = Delta + 1, where the k-core is always empty.
@@ -179,7 +204,7 @@ def choice_number(g: Graph, max_k: int = CHOOSABLE_K_GUARD) -> int:
     if g.n == 0:
         return 0
     for k in range(1, g.max_degree() + 2):
-        ok, _ = is_k_choosable(g, k, max_k=max_k)
+        ok, _ = is_k_choosable(g, k)
         if ok:
             return k
     raise AssertionError("Delta + 1 lists always suffice")
@@ -196,4 +221,3 @@ def brute_force_k_choosable(g: Graph, k: int, universe: int | None = None) -> bo
         if not any(all(c[u] != c[v] for u, v in g.edges) for c in product(*lists)):
             return False
     return True
-

@@ -1,8 +1,8 @@
 """Exceptions shared across the package.
 
 Guards are loud by design: an exact search that would exceed its size bound
-(a vertex or edge count, or a count of live polynomial terms) raises the one
-guard exception, SizeGuardExceeded, instead of silently truncating or
+(a vertex or edge count, live polynomial terms, or search nodes) raises the
+one guard exception, SizeGuardExceeded, instead of silently truncating or
 approximating.
 """
 

@@ -137,6 +137,8 @@ def eulerian_census(d: Orientation, max_edges: int = CENSUS_GUARD) -> EulerianCe
     survives is balanced.
     """
     m = d.graph.m
+    if max_edges < 0:
+        raise ValueError(f"edge guard must be non-negative, got {max_edges}")
     if m > max_edges:
         raise SizeGuardExceeded(f"census guard: m={m} > {max_edges}")
     arcs = d.arcs()
@@ -204,6 +206,8 @@ def atn_from_orientations(
     nodes the walk would visit without it.
     """
     m = g.m
+    if max_edges < 0:
+        raise ValueError(f"edge guard must be non-negative, got {max_edges}")
     if m > max_edges:
         raise SizeGuardExceeded(f"orientation guard: m={m} > {max_edges}")
     edges = g.edges

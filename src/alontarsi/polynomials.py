@@ -169,8 +169,8 @@ def expand_capped(
     Raises SizeGuardExceeded if the live terms plus the `held` terms the
     caller keeps elsewhere pass max_terms.
     """
-    if cap < 0:
-        raise ValueError("cap must be non-negative")
+    if cap < 0 or max_terms < 0:
+        raise ValueError(f"cap and term guard must be non-negative, got {cap}, {max_terms}")
     # cap+1 must fit in a field: a single multiplication bumps one exponent
     # by one, and the violating value is inspected before it can grow again.
     width = (cap + 1).bit_length()
@@ -428,6 +428,8 @@ def atn_from_polynomial(
     lexicographically first, survivor, and the certificate is unchanged; a
     zero one moves on to cap b.  `max_terms` bounds the walk's nodes too.
     """
+    if max_terms < 0:
+        raise ValueError(f"term guard must be non-negative, got {max_terms}")
     bound = _lower_bound(g)
     blocks = _finishing_blocks(g)
     for b in range(max(bound.bound, 1), g.m + 2):

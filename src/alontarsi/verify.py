@@ -245,16 +245,12 @@ def _run_duality_eval(claims: dict, values: dict, g: Graph, seed: int) -> None:
     claims["vanishes_at_equal_values"] = poly.evaluate([7] * g.n) == (0 if g.m else 1)
 
 
-# sandwich lets choice_number scan one list size past CHOOSABLE_K_GUARD
-SANDWICH_MAX_K = 4
-
-
 def _run_sandwich(claims: dict, values: dict, g: Graph) -> None:
     values["graph"] = _graph_descriptor(g)
     chi = values["chi"] = chromatic_number(g)
     atn = values["atn"] = atn_from_polynomial(g)[0]
     claims["chi_le_atn"] = chi <= atn
-    ch = values["ch"] = choice_number(g, max_k=SANDWICH_MAX_K)
+    ch = values["ch"] = choice_number(g)
     claims["chi_le_ch"] = chi <= ch
     claims["ch_le_atn"] = ch <= atn
 
@@ -392,7 +388,7 @@ def run_campaign(name: str, overrides: dict | None = None, sink=None) -> list[di
     sink, when given, receives each report dict as soon as it is built,
     which is how the CLI streams JSON-lines.  Overrides must name keys of
     the campaign's defaults, with values typed like them; None leaves a key
-    at its default.
+    at its default.  A config that selects no instance is a ValueError.
     """
     cfg = default_config(name)
     overrides = overrides or {}
@@ -403,8 +399,11 @@ def run_campaign(name: str, overrides: dict | None = None, sink=None) -> list[di
         if value is not None and not _typed_like(value, cfg[key]):
             raise ValueError(f"{name} config {key!r} must be typed like {cfg[key]!r}: {value!r}")
     cfg.update({k: v for k, v in overrides.items() if v is not None})
+    instances = campaign_instances(name, cfg)
+    if not instances:
+        raise ValueError(f"{name} config selects no instance: {cfg}")
     reports = []
-    for iid, payload in campaign_instances(name, cfg):
+    for iid, payload in instances:
         report = run_instance(name, iid, payload)
         reports.append(report)
         if sink:

@@ -18,6 +18,7 @@ from alontarsi import (
     chromatic_index_class,
     cli,
     coefficient_of,
+    coloring,
     complete_bipartite,
     efl,
     graphs_with_edge_budget,
@@ -159,7 +160,13 @@ class TestChoosable:
     def test_guard(self, tmp_path, capsys):
         src = tmp_path / "k44.edges"
         src.write_text(to_edge_list_text(named_graph("K4,4")))
-        assert main(["choosable", str(src), "-k", "3"]) == 3
+        assert main(["choosable", str(src), "-k", "3", "--max-nodes", "1000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "guard violation: is_k_choosable: nodes 1001 exceed guard 1000 "
+            "(core n=8, k=3)\n"
+        )
 
     def test_negative_k_is_bad_input(self, k3_file, capsys):
         assert main(["choosable", k3_file, "-k", "-1"]) == 2
@@ -438,19 +445,31 @@ class TestVerifyGuards:
         }
 
     def test_choosability_guard_skips_only_the_ch_claims(self, monkeypatch):
-        # K3 has a 2-core, so a list-size guard of 1 trips on it after chi
-        # and ATN are known; the graphs that peel to nothing are not skipped
-        monkeypatch.setattr(verify, "SANDWICH_MAX_K", 1)
-        reports = run_campaign("sandwich", overrides={"max_n": 3})
-        assert len(reports) == 7
-        *peeled, k3 = reports
-        for rep in peeled:
-            assert "SKIP" not in rep["claims"].values() and "guard" not in rep["values"]
-        assert k3["instance"] == "sandwich/006-3v3e"
-        assert k3["claims"] == {"chi_le_atn": True, "chi_le_ch": "SKIP", "ch_le_atn": "SKIP"}
-        assert k3["values"]["chi"] == 3 and k3["values"]["atn"] == 3 and "ch" not in k3["values"]
-        assert k3["values"]["guard"] == "choosability guard: core n=3 (max 6), k=2 (max 1)"
-        assert k3["pass"] is True
+        # a budget of 10 nodes covers every chi on n <= 4 and every
+        # choosability call but two: C4 at k = 2 and K4 at k = 3 trip it
+        # after chi and ATN are known
+        monkeypatch.setattr(coloring, "COLORING_GUARD", 10)
+        reports = run_campaign("sandwich", overrides={"max_n": 4})
+        assert len(reports) == 18
+        skipped = {r["instance"]: r for r in reports if "guard" in r["values"]}
+        for rep in reports:
+            assert ("SKIP" in rep["claims"].values()) == (rep["instance"] in skipped)
+        assert sorted(skipped) == ["sandwich/014-4v4e", "sandwich/017-4v6e"]
+        for iid, chi, atn, k in [("sandwich/014-4v4e", 2, 2, 2), ("sandwich/017-4v6e", 4, 4, 3)]:
+            rep = skipped[iid]
+            assert rep["claims"] == {"chi_le_atn": True, "chi_le_ch": "SKIP", "ch_le_atn": "SKIP"}
+            assert (rep["values"]["chi"], rep["values"]["atn"]) == (chi, atn)
+            assert "ch" not in rep["values"]
+            assert rep["values"]["guard"] == (
+                f"is_k_choosable: nodes 11 exceed guard 10 (core n=4, k={k})"
+            )
+            assert rep["pass"] is True
+
+    def test_default_sandwich_fits_a_tenth_of_the_budget(self, monkeypatch):
+        monkeypatch.setattr(coloring, "COLORING_GUARD", 100_000)
+        reports = run_campaign("sandwich")
+        assert len(reports) == 52
+        assert all(r["pass"] and "guard" not in r["values"] for r in reports)
 
     def test_orientation_guard_skips_only_its_claim(self, monkeypatch):
         # L(2K4) has m = 24: the factorization claims finish, the orientation
@@ -570,6 +589,24 @@ class TestVerifyGuards:
         assert captured.out == ""
         assert "invalid input: edge budget must be non-negative" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["atn", "{g}", "--max-terms", "-1"], "term guard"),
+            (["atn", "{g}", "--method", "orient", "--max-edges", "-1"], "edge guard"),
+            (["census", "{g}", "--bits", "0x0", "--max-edges", "-1"], "edge guard"),
+            (["choosable", "{g}", "-k", "2", "--max-nodes", "-1"], "k and max_nodes"),
+            (["efl", "certify", "-k", "1", "--max-terms", "-1"], "term guard"),
+            (["verify", "cor3", "--max-terms", "-1"], "term guard"),
+        ],
+    )
+    def test_negative_guard_is_bad_input(self, argv, message, k3_file, capsys):
+        assert main([a.format(g=k3_file) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid input: {message} must be non-negative, got " in captured.err
+        assert captured.err.endswith("-1\n")
+
     def test_duality_census_uses_the_table_guard(self):
         # the worker sees no campaign config: the census table's own guard
         # applies, and the empty graph has its one orientation censused
@@ -605,6 +642,11 @@ class TestVerifyGuards:
             ("thm2", {"max_edges": "x"}),
             ("thm2", {"max_edges": True}),
             ("thm1", {"graphs": ["K4", 3]}),
+            # a negative guard, and configs that select no instance
+            ("cor3", {"max_terms": -1}),
+            ("thm1", {"graphs": []}),
+            ("cor3", {"graphs": []}),
+            ("thm2", {"max_edges": 0}),
         ],
     )
     def test_malformed_config_rejected(self, campaign, obj, tmp_path, capsys):
@@ -731,7 +773,7 @@ VALID_ARGV = [
     ["census", "g.txt", "--bits", "0x2a"],
     ["census", "g.txt", "--max-edges", "3", "--bits", "1"],
     ["choosable", "g.txt", "-k", "2"],
-    ["choosable", "g.txt", "-k", "3", "--max-n", "4", "--max-k", "2", "--format", "json"],
+    ["choosable", "g.txt", "-k", "3", "--max-nodes", "4", "--format", "json"],
     ["verify", "thm1"],
     ["verify", "duality", "--config", "cfg.json", "--max-edges", "4", "--format", "text"],
     ["verify", "cor3", "--max-terms", "7", "--seed", "3", "--format", "json"],

@@ -141,14 +141,32 @@ class TestChromaticNumber:
         lg = line_graph(complete_graph(4))
         assert chromatic_number(lg) == 3
 
-    def test_guard(self):
-        with pytest.raises(SizeGuardExceeded):
-            chromatic_number(complete_graph(13))
+    def test_guard(self, monkeypatch):
+        # no vertex bound: C101's walks for k = 1, 2, 3 place 1, 100 and 101
+        # colors, 202 nodes in all
+        assert chromatic_number(cycle_graph(101)) == 3
+        monkeypatch.setattr(coloring, "COLORING_GUARD", 202)
+        assert chromatic_number(cycle_graph(101)) == 3
+        monkeypatch.setattr(coloring, "COLORING_GUARD", 201)
+        with pytest.raises(
+            SizeGuardExceeded,
+            match=r"^chromatic_number: nodes 202 exceed guard 201 \(n=101\)$",
+        ):
+            chromatic_number(cycle_graph(101))
+
+    def test_no_recursion_limit(self):
+        # the walk keeps its own stack, so Python's recursion limit does not
+        # bound n
+        assert chromatic_number(cycle_graph(2001)) == 3
 
     def test_guard_is_read_when_called(self, monkeypatch):
-        monkeypatch.setattr(coloring, "CHROMATIC_GUARD", 4)
+        # K_n places k colors for each k <= n before the walk for k = n
+        # succeeds: 10 nodes for K4, 15 for K5
+        monkeypatch.setattr(coloring, "COLORING_GUARD", 14)
         assert chromatic_number(complete_graph(4)) == 4
-        with pytest.raises(SizeGuardExceeded, match="chromatic guard: n=5 > 4"):
+        with pytest.raises(
+            SizeGuardExceeded, match=r"chromatic_number: nodes 15 exceed guard 14 \(n=5\)"
+        ):
             chromatic_number(complete_graph(5))
 
     def test_matches_brute_force_over_vertex_maps(self):
@@ -216,6 +234,8 @@ class TestIsKChoosable:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             is_k_choosable(complete_graph(2), -1)
+        with pytest.raises(ValueError, match="k and max_nodes must be non-negative, got 2, -1"):
+            is_k_choosable(complete_graph(3), 2, max_nodes=-1)
         assert is_k_choosable(Graph(0, []), 0) == (True, None)
         assert is_k_choosable(Graph(2, []), 0) == (False, ((), ()))
 
@@ -225,8 +245,42 @@ class TestIsKChoosable:
         assert ok
 
     def test_guard_on_core(self):
-        with pytest.raises(SizeGuardExceeded):
-            is_k_choosable(complete_bipartite(4, 4), 3)
+        with pytest.raises(SizeGuardExceeded, match=r"\(core n=8, k=3\)"):
+            is_k_choosable(complete_bipartite(4, 4), 3, max_nodes=1000)
+
+    def test_budget_boundary(self):
+        # C4 at k = 2 tries its list assignments and walks their colorings
+        # in exactly 150 nodes
+        assert is_k_choosable(cycle_graph(4), 2, max_nodes=150) == (True, None)
+        with pytest.raises(
+            SizeGuardExceeded,
+            match=r"^is_k_choosable: nodes 150 exceed guard 149 \(core n=4, k=2\)$",
+        ):
+            is_k_choosable(cycle_graph(4), 2, max_nodes=149)
+
+    def test_budget_is_shared_by_the_leaf_walks(self, monkeypatch):
+        # every leaf walk of C4 at k = 2 fits in 20 nodes on its own budget,
+        # but the call's walks and assignments together pass 100
+        leaves = []
+        real = coloring.list_colorings
+
+        def recorded(g, lists, budget=None):
+            leaves.append((g, [tuple(l) for l in lists]))
+            return real(g, lists, budget)
+
+        monkeypatch.setattr(coloring, "list_colorings", recorded)
+        with pytest.raises(SizeGuardExceeded, match="exceed guard 100 "):
+            is_k_choosable(cycle_graph(4), 2, max_nodes=100)
+        assert len(leaves) > 5
+        for g, lists in leaves:
+            list(real(g, lists, [20]))  # raises past 20 nodes
+
+    def test_no_recursion_limit(self):
+        # the enumeration keeps its own stack: the first full assignment of
+        # C2001, (0, 1) everywhere, already leaves the last vertex no color
+        ok, witness = is_k_choosable(cycle_graph(2001), 2)
+        assert not ok and witness == ((0, 1),) * 2001
+
 
     def test_matches_brute_force_on_tiny_instances(self):
         tiny = [
@@ -264,7 +318,7 @@ class TestIsKChoosable:
         for g in [cycle_graph(5), complete_graph(4), named_graph("paw")]:
             seen_true = False
             for k in range(1, g.max_degree() + 2):
-                ok, _ = is_k_choosable(g, k, max_k=4)
+                ok, _ = is_k_choosable(g, k)
                 if seen_true:
                     assert ok
                 seen_true = seen_true or ok
@@ -284,17 +338,17 @@ class TestChoiceNumber:
         ],
     )
     def test_values(self, g, ch):
-        assert choice_number(g, max_k=4) == ch
+        assert choice_number(g) == ch
 
     def test_k5_needs_five(self):
-        assert choice_number(complete_graph(5), max_k=4) == 5
+        assert choice_number(complete_graph(5)) == 5
 
     def test_wheel(self):
-        assert choice_number(W4, max_k=4) == 3
+        assert choice_number(W4) == 3
 
     def test_equals_chi_for_complete_graphs(self):
         for n in (2, 3, 4):
-            assert choice_number(complete_graph(n), max_k=4) == chromatic_number(
+            assert choice_number(complete_graph(n)) == chromatic_number(
                 complete_graph(n)
             )
 
@@ -313,4 +367,4 @@ class TestChoiceNumber:
 def test_line_graph_chi_ch_atn(g, expected):
     lg = line_graph(g)
     atn, _ = atn_from_polynomial(lg)
-    assert (chromatic_number(lg), choice_number(lg, max_k=4), atn) == expected
+    assert (chromatic_number(lg), choice_number(lg), atn) == expected

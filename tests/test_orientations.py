@@ -246,6 +246,10 @@ class TestEulerianCensus:
         with pytest.raises(SizeGuardExceeded):
             eulerian_census(Orientation.from_int(g, 0), max_edges=20)
 
+    def test_negative_guard_rejected(self):
+        with pytest.raises(ValueError, match="edge guard must be non-negative, got -1"):
+            eulerian_census(Orientation.from_int(complete_graph(2), 0), max_edges=-1)
+
 
 class TestAlonTarsi:
     def test_acyclic_is_alon_tarsi(self):
@@ -431,6 +435,10 @@ class TestAtnFromOrientations:
     def test_guard(self):
         with pytest.raises(SizeGuardExceeded):
             atn_from_orientations(complete_graph(7), max_edges=20)
+
+    def test_negative_guard_rejected(self):
+        with pytest.raises(ValueError, match="edge guard must be non-negative, got -1"):
+            atn_from_orientations(complete_graph(2), max_edges=-1)
 
 
 class TestDuality:

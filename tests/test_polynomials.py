@@ -147,6 +147,12 @@ class TestExpandCapped:
         with pytest.raises(SizeGuardExceeded):
             atn_from_polynomial(complete_graph(5), max_terms=5)
 
+    def test_negative_guard_rejected(self):
+        with pytest.raises(ValueError, match="term guard must be non-negative, got 1, -1"):
+            expand_capped(complete_graph(2).edges, 2, 1, max_terms=-1)
+        with pytest.raises(ValueError, match="term guard must be non-negative, got -1"):
+            atn_from_polynomial(complete_graph(2), max_terms=-1)
+
     def test_guard_counts_held_terms(self):
         expand_capped([(0, 1)], 2, 1, max_terms=4, held=2)
         with pytest.raises(SizeGuardExceeded, match="live terms 4 exceed guard 3"):
