@@ -36,6 +36,14 @@ k >= w - 1.  The walk goes in lexicographic bit order and replaces the
 incumbent only on a strictly lower maximum outdegree, so once that reaches
 w - 1 no later leaf can replace it: stopping keeps the value and the
 certificate, and only the later censuses are left out.
+The walk also stops once the all-(m/n) vector is censused, when m/n is an
+integer and the incumbent's maximum outdegree k has (k - 1) n <= m.  A leaf
+that replaces the incumbent has maximum outdegree at most k - 1 and
+outdegrees summing to m, so (k - 1) n < m rules every leaf out, and
+(k - 1) n = m leaves only the vector all-(k - 1) = all-(m/n).  By the lemma
+every orientation with that vector shares the census just taken, which
+either set the incumbent or was balanced; either way no later leaf can
+replace the incumbent, and stopping keeps the value and the certificate.
 orientation_census_table censuses all orientations at once under the same
 prune rule as eulerian_census, in a recursion that shares no code with it.
 """
@@ -172,7 +180,7 @@ def eulerian_census(d: Orientation, max_edges: int = CENSUS_GUARD) -> EulerianCe
 
 
 class _Optimal(Exception):
-    """Ends the orientation walk once the incumbent meets the clique bound."""
+    """Ends the orientation walk once no later leaf can replace the incumbent."""
 
 
 def atn_from_orientations(
@@ -194,10 +202,11 @@ def atn_from_orientations(
     orientation, so an optimum exists.
 
     The walk ends once the incumbent's maximum outdegree is w - 1 for the
-    clique on w vertices that `max_clique` returns (the argument is in the
-    module docstring).  The clique is checked edge by edge first, and a
-    non-clique raises AssertionError, so the bound only ever ends the walk
-    early and never supplies the value.
+    clique on w vertices that `max_clique` returns, or once the all-(m/n)
+    vector is censused with the incumbent's maximum outdegree at most
+    m/n + 1 (the arguments are in the module docstring).  The clique is
+    checked edge by edge first, and a non-clique raises AssertionError, so
+    the bound only ever ends the walk early and never supplies the value.
 
     A node whose partial outdegree vector was walked before returns at once
     (the argument is in the module docstring).  The vector is packed into
@@ -226,6 +235,8 @@ def atn_from_orientations(
     shift = g.max_degree().bit_length()
     weight = [1 << (shift * v) for v in range(g.n)]  # out packed into one int
     walked: set[int] = set()
+    # the code of the all-(m/n) vector, or -1, which no code equals
+    level = m // g.n * sum(weight) if g.n and m % g.n == 0 else -1
 
     def rec(i: int, partial_max: int, code: int):
         nonlocal best_value, best
@@ -244,6 +255,8 @@ def atn_from_orientations(
                 best = OrientationCertificate(partial_max + 1, cand, census)
                 if best_value <= floor:
                     raise _Optimal
+            if code == level and (best_value - 1) * g.n <= m:
+                raise _Optimal
             return
         cap = best_value - 1
         if sum(min(cap - o, r) for o, r in zip(out, rem)) < m - i:

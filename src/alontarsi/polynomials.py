@@ -52,6 +52,12 @@ Israel J. Math. 192 (2012)).  So a signed walk over the proper colorings
 with c_v <= d_v finds it in exact integers.  A nonzero all-c is the only
 survivor, hence the lexicographically first, so the certificate is the one
 the expansion would give; a zero one sends the search to the next cap.
+On a line graph the walk is shorter still.  When the edges split into
+(c+1)-cliques with every vertex in two, the Krausz form of L(H) for a
+(c+1)-regular H, every proper coloring from {0..c} colors each clique
+bijectively, a permutation of the colors keeps every term, and the walk
+pins one clique per component and multiplies by (c+1)! (the line-graph form
+of the Nullstellensatz: Ellingham and Goddyn, Combinatorica 16 (1996)).
 """
 
 from __future__ import annotations
@@ -305,6 +311,52 @@ def _lower_bound(g: Graph) -> LowerBound:
     return LowerBound("clique", clique, len(clique))
 
 
+def _krausz_cliques(g: Graph, d) -> list[tuple[tuple[int, ...], ...]] | None:
+    """The two (r+1)-cliques at each vertex, when d is all-r with r >= 1 and
+    g's edges split into (r+1)-cliques with every vertex in exactly two of
+    them (the Krausz form of L(H) for an (r+1)-regular H); otherwise None.
+
+    Every vertex needs degree 2r.  Its neighbourhood splits into two cliques
+    exactly when the complement of the graph it induces is bipartite, and
+    the split is unique when that complement is connected, that is when the
+    2-coloring grown from one neighbour reaches all 2r of them.  The two
+    sides, each joined to the vertex, are then the only candidates, and
+    they must hold r neighbours each; any other neighbourhood gives up.
+
+    The cliques found are accepted only if every vertex lies in exactly two
+    of them; as each lies in the two found at it, that is a count of
+    (r+1)-sets against 2n.  That alone makes them a partition of the edges:
+    the two cliques at v are the two found at v, which meet only in v and
+    hold all of v's neighbours, so each edge vw lies in one of them, and an
+    edge in two cliques would put both its ends in two cliques that meet in
+    one vertex.
+    """
+    adj = g.adjacency()
+    r = d[0] if d else 0
+    if r < 1 or any(e != r or len(a) != 2 * r for e, a in zip(d, adj)):
+        return None
+    at = []
+    for v, nbrs in enumerate(adj):
+        start = min(nbrs)
+        side = {start: 0}
+        queue = [start]
+        for x in queue:  # 2-color the non-edges among v's neighbours
+            for y in nbrs - adj[x] - {x}:
+                if y not in side:
+                    side[y] = side[x] ^ 1
+                    queue.append(y)
+                elif side[y] == side[x]:
+                    return None
+        halves = tuple(
+            tuple(sorted([v] + [x for x in nbrs if side.get(x) == s])) for s in (0, 1)
+        )
+        if any(len(h) != r + 1 for h in halves):
+            return None  # the complement is not connected, or the sides differ
+        at.append(halves)
+    found = {c for pair in at for c in pair}
+    return at if len(found) * (r + 1) == 2 * g.n else None
+
+
 def _coefficient_by_colorings(g: Graph, d, max_terms: int = DEFAULT_TERM_GUARD) -> int:
     """Exact coefficient of x^d by the quantitative Combinatorial
     Nullstellensatz: with grids {0..d_v} and sum(d) = m,
@@ -316,6 +368,20 @@ def _coefficient_by_colorings(g: Graph, d, max_terms: int = DEFAULT_TERM_GUARD) 
     is multiplied in when its second endpoint is colored, and a branch dies
     at a zero factor.  Each connected component is walked on its own and the
     sums multiplied, since P factors over components in disjoint variables.
+
+    When d is all-r and the edges split into (r+1)-cliques with every
+    vertex in two (`_krausz_cliques`), each component is walked with one
+    clique pinned.  Every proper coloring from {0..r} colors each clique
+    bijectively, so each color lies on one vertex of each clique, and a
+    component with k cliques gives each color k/2 vertices.  If k is odd no
+    proper coloring exists and the coefficient is 0.  Otherwise the weights
+    depend only on those counts, so a permutation pi of the colors keeps
+    them, and it multiplies each clique's factors by sgn(pi), so P by
+    sgn(pi)^k = 1.  Only the identity fixes the pinned clique's colors, so
+    the colorings fall into orbits of (r+1)! with equal terms, one per orbit
+    with the pinned clique colored 0..r in vertex order, and the
+    component's sum is (r+1)! times the pinned one.
+
     Raises SizeGuardExceeded when the walk's nodes, summed over components,
     pass max_terms.  Expands nothing, so it shares no code with `expand_capped`
     or `coefficient_of`.
@@ -329,33 +395,47 @@ def _coefficient_by_colorings(g: Graph, d, max_terms: int = DEFAULT_TERM_GUARD) 
     heapq.heapify(heap)
     pos = [-1] * g.n
     order = []
+    starts = []  # the depths that start a component: no colored neighbour
     while heap:
         negc, _, v = heapq.heappop(heap)
         if pos[v] >= 0 or -negc != count[v]:
             continue  # a stale entry
+        if not negc:
+            starts.append(len(order))
         pos[v] = len(order)
         order.append(v)
         for w in adj[v]:
             if pos[w] < 0:
                 count[w] += 1
                 heapq.heappush(heap, (-count[w], d[w], w))
-    # per depth: the depths of the colored neighbours, and the weight of each
-    # color times the sign that writes every factor as (c_v - c_x); a colored
-    # neighbour x < v contributes (c_x - c_v), so -1 each
+    starts.append(g.n)
+    colors = [range(e + 1) for e in d]
+    cliques = _krausz_cliques(g, d)
+    if cliques is not None:
+        for first, end in zip(starts, starts[1:]):
+            if (end - first) % (d[0] + 1):
+                return 0  # k (r+1) / 2 vertices with k odd
+            # pin the clique of the component's first edge: the second
+            # vertex in the order has a colored neighbour, the first
+            u, w = order[first], order[first + 1]
+            pinned = next(c for c in cliques[u] if w in c)
+            for c, x in enumerate(pinned):
+                colors[x] = (c,)
+    # per depth: the depths of the colored neighbours, and each color with
+    # its weight times the sign that writes every factor as (c_v - c_x); a
+    # colored neighbour x < v contributes (c_x - c_v), so -1 each
     back, weights = [], []
     for v in order:
         earlier = [x for x in adj[v] if pos[x] < pos[v]]
         sign = -1 if sum(x < v for x in earlier) % 2 else 1
         back.append([pos[x] for x in earlier])
         weights.append(
-            [sign * (-1) ** (d[v] - c) * math.comb(d[v], c) for c in range(d[v] + 1)]
+            [(c, sign * (-1) ** (d[v] - c) * math.comb(d[v], c)) for c in colors[v]]
         )
     # P is the product of its components' polynomials in disjoint variables,
     # so the coefficient is the product of theirs; the order colors one
-    # component whole before the next, whose first vertex is the one depth
-    # with no colored neighbour, and each component is walked on its own so
-    # that the nodes add across components instead of multiplying
-    starts = [i for i, b in enumerate(back) if not b] + [g.n]
+    # component whole before the next, and each component is walked on its
+    # own so that the nodes add across components instead of multiplying
     color = [0] * g.n  # by depth
     total, nodes = 1, 0
     for first, end in zip(starts, starts[1:]):
@@ -369,7 +449,7 @@ def _coefficient_by_colorings(g: Graph, d, max_terms: int = DEFAULT_TERM_GUARD) 
             i += 1
             used = [color[j] for j in back[i]]
             children = []
-            for c, q in enumerate(weights[i]):
+            for c, q in weights[i]:
                 if c in used:
                     continue
                 for x in used:
@@ -387,6 +467,8 @@ def _coefficient_by_colorings(g: Graph, d, max_terms: int = DEFAULT_TERM_GUARD) 
         if not part:
             return 0
         total *= part
+    if cliques is not None:  # each component walked one coloring per orbit
+        total *= math.factorial(d[0] + 1) ** (len(starts) - 1)
     scale = math.prod(math.factorial(e) for e in d)
     coeff, rem = divmod(total, scale)
     assert not rem, (total, scale)

@@ -374,8 +374,8 @@ class TestAtnFromOrientations:
             (complete_graph(6), 6, 1, "0x0", (1, 0)),
             (complete_graph(7), 7, 1, "0x0", (1, 0)),
             (total_graph(cycle_graph(5)), 4, 3, "0x8", (3, 2)),
-            # the clique bound (2) is not tight, so the walk runs to its end;
-            # it takes 3 censuses with or without the twin-orbit key
+            # the clique bound (2) is not tight, so the walk runs until the
+            # all-2 census; it takes 3 censuses with or without the twin-orbit key
             (named_graph("K4,4"), 3, 3, "0x33cc", (90, 0)),
             # few twins: 1,936 censuses without the clique bound
             (FEW_TWINS_22, 6, 2, "0x400", (9, 8)),
@@ -390,6 +390,23 @@ class TestAtnFromOrientations:
         assert len(census_calls) == censuses
         assert cert.orientation.bits_hex() == bits
         assert (cert.census.even, cert.census.odd) == census
+
+    @pytest.mark.parametrize(
+        "g", [total_graph(cycle_graph(5)), named_graph("K4,4")], ids=["T(C5)", "K4,4"]
+    )
+    def test_all_balanced_vector_ends_the_walk(self, g, monkeypatch):
+        # the clique bound is tight on neither, so only the stop after the
+        # all-(m/n) census ends the walk early
+        raised = []
+
+        class Counted(orientations._Optimal):
+            def __init__(self, *args):
+                raised.append(None)
+                super().__init__(*args)
+
+        monkeypatch.setattr(orientations, "_Optimal", Counted)
+        atn_from_orientations(g)
+        assert len(raised) == 1
 
     def test_clique_bound_ends_the_walk_past_the_guard(self, census_calls):
         value, cert = atn_from_orientations(complete_graph(9), max_edges=36)
@@ -411,7 +428,9 @@ class TestAtnFromOrientations:
         # labelled graph on five vertices with at most 8 edges runs too
         graphs = list(graphs_with_edge_budget(8))
         graphs += [g for g in connected_graphs(15, max_vertices=6) if g.n == 6]
-        graphs += [named_graph("K3,3"), total_graph(cycle_graph(5))]
+        # K4,4, T(C5) and cycles such as C8 have an integer m/n, so the stop
+        # after the all-(m/n) census runs against the reference too
+        graphs += [named_graph("K3,3"), named_graph("K4,4"), total_graph(cycle_graph(5))]
         rng = random.Random(2026)
         graphs += [g.relabel(rng.sample(range(g.n), g.n)) for g in graphs]
         pairs = list(combinations(range(5), 2))

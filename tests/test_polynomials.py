@@ -516,14 +516,17 @@ class TestCoefficientByColorings:
         assert polynomials._coefficient_by_colorings(g, (3, 1, 0, 0)) == 0
 
     def test_components_are_walked_apart(self):
-        # the nodes add over components: 5,680 for one L(K4,4), 17,040 for three
+        # the nodes add over components, each walked with one clique pinned:
+        # 238 for one L(K4,4) (5,680 unpinned), 714 for three
         one = line_graph(complete_bipartite(4, 4))
         three = disjoint_union(disjoint_union(one, one), one)
         walk = polynomials._coefficient_by_colorings
-        assert walk(one, (3,) * 16, max_terms=5_680) == 576
-        assert walk(three, (3,) * 48, max_terms=17_040) == 576**3
-        with pytest.raises(SizeGuardExceeded, match="exceed guard 17040$"):
-            walk(disjoint_union(three, one), (3,) * 64, max_terms=17_040)
+        assert walk(one, (3,) * 16, max_terms=238) == 576
+        with pytest.raises(SizeGuardExceeded, match="exceed guard 237$"):
+            walk(one, (3,) * 16, max_terms=237)
+        assert walk(three, (3,) * 48, max_terms=714) == 576**3
+        with pytest.raises(SizeGuardExceeded, match="exceed guard 714$"):
+            walk(disjoint_union(three, one), (3,) * 64, max_terms=714)
         # a zero component ends the walk: L(K3,3) all-2 is 0
         g = disjoint_union(one, line_graph(complete_bipartite(3, 3)))
         assert walk(g, (3,) * 16 + (2,) * 9) == 0
@@ -534,6 +537,96 @@ class TestCoefficientByColorings:
             polynomials._coefficient_by_colorings(g, (3,) * g.n, max_terms=100)
         with pytest.raises(SizeGuardExceeded, match="exceed guard 100$"):
             atn_from_polynomial(g, max_terms=100)
+
+
+def unpinned_walk(monkeypatch, g, d):
+    """The colorings walk with the clique split switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(polynomials, "_krausz_cliques", lambda g, d: None)
+        return polynomials._coefficient_by_colorings(g, d)
+
+
+class TestPinnedColoringsWalk:
+    """The walk with one clique of a Krausz split pinned, against the
+    frontier expansion and the unpinned walk."""
+
+    def test_matches_on_line_graphs(self, monkeypatch):
+        # every line graph regular of even degree 2r > 0 from all graphs on
+        # at most 7 vertices but K7 (its value is pinned below) and from some
+        # regular graphs past 7 vertices, under two seeded relabellings; the
+        # frontier expansion checks those with at most 42 edges and the
+        # unpinned walk the rest
+        k4, k33 = complete_graph(4), complete_bipartite(3, 3)
+        larger = [
+            cycle_graph(8),
+            hypercube(3),
+            complete_bipartite(4, 4),
+            petersen_graph(),
+            disjoint_union(k4, k4),  # no split: L(K4) is the octahedron
+            disjoint_union(k33, k4),
+            disjoint_union(k33, hypercube(3)),  # two components, each pinned
+        ]
+        cases = split = 0
+        for h in all_graphs(7) + larger:
+            g = line_graph(h)
+            if len(set(g.degrees())) != 1 or not g.m or g.m % g.n or h.m == 21:
+                continue
+            d = (g.m // g.n,) * g.n
+            for seed in (0, 1):
+                lg = relabelled(g, seed)
+                cases += 1
+                split += polynomials._krausz_cliques(lg, d) is not None
+                want = coefficient_of(lg, d) if lg.m <= 42 else unpinned_walk(monkeypatch, lg, d)
+                assert polynomials._coefficient_by_colorings(lg, d) == want, (h.edges, seed)
+        assert (cases, split) == (100, 54)
+
+    @pytest.mark.parametrize(
+        "name, g",
+        [
+            ("L(K4)", line_graph(complete_graph(4))),  # each neighbourhood's complement is 2K2
+            ("L(K2,4)", line_graph(complete_bipartite(2, 4))),  # its cliques are K4s and K2s
+            ("T(C5)", total_graph(cycle_graph(5))),  # 10 triangles found: 30 memberships, not 20
+            ("C3", complete_graph(3)),
+            ("edgeless", Graph(4, [])),
+            ("empty", Graph(0, [])),
+        ],
+    )
+    def test_no_split(self, name, g):
+        d = (g.m // g.n,) * g.n if g.n else ()
+        assert polynomials._krausz_cliques(g, d) is None
+
+    def test_split_of_a_line_graph(self):
+        # L(K4,4): the two cliques at each vertex are the stars of its edge's ends
+        h = complete_bipartite(4, 4)
+        cliques = polynomials._krausz_cliques(line_graph(h), (3,) * 16)
+        stars = [tuple(i for i, e in enumerate(h.edges) if x in e) for x in range(h.n)]
+        for i, e in enumerate(h.edges):
+            assert sorted(cliques[i]) == sorted(stars[x] for x in e)
+
+    def test_split_needs_every_exponent_equal(self):
+        g = line_graph(complete_bipartite(4, 4))
+        assert polynomials._krausz_cliques(g, (2,) + (3,) * 14 + (4,)) is None
+
+    @pytest.mark.parametrize(
+        "name, g",
+        [
+            ("L(K5)", line_graph(complete_graph(5))),
+            ("T(K4)", total_graph(complete_graph(4))),  # isomorphic to L(K5)
+            ("L(K7)", line_graph(complete_graph(7))),
+        ],
+    )
+    def test_odd_clique_count_is_zero_at_once(self, name, g):
+        # an odd number of cliques: K5 and K7 have no perfect matching, so
+        # their line graphs have no proper Delta-coloring, and no node is walked
+        d = (g.m // g.n,) * g.n
+        assert polynomials._krausz_cliques(g, d) is not None
+        assert polynomials._coefficient_by_colorings(g, d, max_terms=0) == 0
+
+    def test_line_graph_of_k8(self):
+        # all-6 by the pinned walk in 131,056 nodes; K8 is class 1, so ATN(L(K8))
+        # = 7 = Delta, as thm1 claims
+        value, cert = atn_from_polynomial(line_graph(complete_graph(8)), max_terms=150_000)
+        assert (value, cert.exponents, cert.coefficient) == (7, (6,) * 28, 21_772_800)
 
 
 class TestVandermonde:
