@@ -198,16 +198,20 @@ def first_twins(adj) -> list[int]:
     """Each vertex's first twin: the smallest u with N(u) - {v} == N(v) - {u},
     so v itself when v has no smaller twin.
 
-    Being twins is an equivalence relation, since no vertex has both a true
-    twin and a false twin, so every permutation of a class is an automorphism
-    and two vertices are twins exactly when their first twins are equal.
+    Non-adjacent twins share their open neighbourhood and adjacent twins
+    their closed one, so the vertices are grouped by each, and v's first
+    twin is the smaller first member of its two groups.  Being twins is an
+    equivalence relation, since no vertex has both a true twin and a false
+    twin: one of v's two groups is {v} alone, every permutation of a class
+    is an automorphism, and two vertices are twins exactly when their first
+    twins are equal.
     """
-    first = list(range(len(adj)))
-    for v in range(len(adj)):
-        first[v] = next(
-            (u for u in range(v) if first[u] == u and adj[u] - {v} == adj[v] - {u}), v
-        )
-    return first
+    by_open: dict[frozenset, int] = {}
+    by_closed: dict[frozenset, int] = {}
+    return [
+        min(by_open.setdefault(s, v), by_closed.setdefault(s | {v}, v))
+        for v, s in enumerate(adj)
+    ]
 
 
 def max_clique(g: Graph) -> tuple[int, ...]:

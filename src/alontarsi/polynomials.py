@@ -171,9 +171,15 @@ def expand_capped(
 ) -> SparsePolynomial:
     """Multiply the binomial factors, deleting terms with an exponent > cap.
 
-    The product starts from `start`, packed at this cap's width, or from 1.
-    Raises SizeGuardExceeded if the live terms plus the `held` terms the
-    caller keeps elsewhere pass max_terms.
+    The product starts from `start`, packed at this cap's width with nonzero
+    coefficients, or from 1.  Raises SizeGuardExceeded if the live terms
+    plus the `held` terms the caller keeps elsewhere pass max_terms.
+
+    reach[x] bounds x's exponent in every live term: 0 from 1, the cap from
+    a given start.  A factor raises it by one up to the cap, and while it is
+    below the cap that factor's test on x cannot delete a term, so it is
+    skipped; a cap of m is never tested.  The u-shift maps distinct keys to
+    distinct keys, so it fills the new dict without merging.
     """
     if cap < 0 or max_terms < 0:
         raise ValueError(f"cap and term guard must be non-negative, got {cap}, {max_terms}")
@@ -183,26 +189,37 @@ def expand_capped(
     mask = (1 << width) - 1
     top = nvars - 1  # variable 0 sits in the most significant field
     terms = {0: 1} if start is None else start
+    reach = [0 if start is None else cap] * nvars
     for u, v in factors:
         su, sv = (top - u) * width, (top - v) * width
         bump_u, bump_v = 1 << su, 1 << sv
-        new: dict[int, int] = {}
+        if reach[u] < cap:
+            reach[u] += 1
+            new = {key + bump_u: c for key, c in terms.items()}
+        else:
+            new = {
+                ku: c for key, c in terms.items() if ((ku := key + bump_u) >> su) & mask <= cap
+            }
         get = new.get
-        for key, c in terms.items():
-            ku = key + bump_u
-            if (ku >> su) & mask <= cap:
-                x = get(ku, 0) + c
-                if x:
-                    new[ku] = x
-                elif ku in new:
-                    del new[ku]
-            kv = key + bump_v
-            if (kv >> sv) & mask <= cap:
+        # every coefficient is nonzero, so a sum of zero had a key to delete
+        if reach[v] < cap:
+            reach[v] += 1
+            for key, c in terms.items():
+                kv = key + bump_v
                 x = get(kv, 0) - c
                 if x:
                     new[kv] = x
-                elif kv in new:
+                else:
                     del new[kv]
+        else:
+            for key, c in terms.items():
+                kv = key + bump_v
+                if (kv >> sv) & mask <= cap:
+                    x = get(kv, 0) - c
+                    if x:
+                        new[kv] = x
+                    else:
+                        del new[kv]
         if len(new) + held > max_terms:
             raise SizeGuardExceeded(
                 f"live terms {len(new) + held} exceed guard {max_terms}"

@@ -21,6 +21,7 @@ from alontarsi import (
     path_graph,
     star_graph,
 )
+from alontarsi import canon
 from alontarsi.canon import (
     ALL_GRAPHS_GUARD,
     _connected_catalog,
@@ -232,11 +233,27 @@ class TestPrunesKeepOutputs:
                     assert _are_twins(adj, u, w)
 
     def test_first_twin_is_the_smallest_twin(self):
-        for g in all_graphs(6):
+        # 1, 4, 6 are true twins on 3, 2 and 5 false twins on {3, 7}, and 0
+        # and 8 isolated, so both kinds of class interleave with each other
+        mixed = Graph(9, [(1, 4), (1, 6), (4, 6), (1, 3), (4, 3), (6, 3),
+                          (2, 3), (2, 7), (5, 3), (5, 7), (3, 7)])
+        assert first_twins(mixed.adjacency()) == [0, 1, 2, 3, 1, 2, 1, 7, 0]
+        for g in all_graphs(7) + [mixed]:
             adj = g.adjacency()
             first = first_twins(adj)
             for v in range(g.n):
                 assert first[v] == min(u for u in range(g.n) if u == v or _are_twins(adj, u, v))
+        # a cycle past four vertices has no twins
+        assert first_twins(cycle_graph(1001).adjacency()) == list(range(1001))
+
+    def test_catalog_key_calls_are_pinned(self, monkeypatch):
+        # growing the nine-edge catalog keys 6,065 candidate graphs; a change
+        # to the key search's cost per node must not change how many it keys
+        calls = []
+        key = canon._connected_key
+        monkeypatch.setattr(canon, "_connected_key", lambda g: calls.append(g) or key(g))
+        assert len(_connected_catalog(9)) == 1069
+        assert len(calls) == 6065
 
 
 class TestAllGraphs:

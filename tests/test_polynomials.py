@@ -164,6 +164,23 @@ class TestExpandCapped:
         rest = expand_capped(edges[2:], 4, 2, start=head.terms)
         assert dict(rest.items()) == dict(expand_capped(edges, 4, 2).items())
 
+    def test_start_at_the_cap_is_still_capped(self):
+        # start is x0, already at cap 1, so (x0 - x1) must drop the x0^2 it makes
+        start = {expand_capped([], 2, 1).pack((1, 0)): 1}
+        poly = expand_capped([(0, 1)], 2, 1, start=start)
+        assert dict(poly.items()) == {(1, 1): -1}
+        # the same on K4 at cap 2: the head, the star at x0, already holds
+        # terms at the cap, and the rest's triangle on x1, x2, x3 must still
+        # delete the terms it pushes past it
+        g = complete_graph(4)
+        head = expand_capped(g.edges[:3], 4, 2)
+        assert max(e[0] for e, _ in head.items()) == 2
+        rest = expand_capped(g.edges[3:], 4, 2, start=head.terms)
+        naive = naive_expansion(g)
+        assert any(e[0] <= 2 < max(e) for e in naive)
+        want = {e: c for e, c in naive.items() if max(e) <= 2}
+        assert dict(rest.items()) == want
+
     def test_empty_factor_list_is_one(self):
         poly = expand_capped([], 3, 0)
         assert dict(poly.items()) == {(0, 0, 0): 1}
