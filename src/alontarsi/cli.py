@@ -33,7 +33,7 @@ from .graphs import (
     total_graph,
 )
 from .orientations import CENSUS_GUARD, Orientation, atn_from_orientations, eulerian_census
-from .polynomials import DEFAULT_TERM_GUARD, atn_from_polynomial
+from .polynomials import atn_from_polynomial
 from .verify import CAMPAIGNS, campaign_passed, default_config, report_line, run_campaign
 
 EXIT_OK = 0
@@ -100,7 +100,7 @@ def _cmd_atn(args) -> int:
     if args.method in ("orient", "both"):
         results["orient"] = atn_from_orientations(g, max_edges=args.max_edges)
     if args.method in ("poly", "both"):
-        results = {"poly": atn_from_polynomial(g, max_terms=args.max_terms), **results}
+        results = {"poly": atn_from_polynomial(g), **results}
     if args.method == "both" and results["poly"][0] != results["orient"][0]:
         raise CrossCheckMismatch(
             f"polynomial says {results['poly'][0]}, "
@@ -160,7 +160,7 @@ def _cmd_verify(args) -> int:
         overrides.update(loaded)
     # each flag sets its knob only on campaigns that have one
     knobs = default_config(args.campaign)
-    for key in ("max_edges", "max_terms", "seed"):
+    for key in ("max_edges", "seed"):
         value = getattr(args, key)
         if value is not None and key in knobs:
             overrides[key] = value
@@ -197,7 +197,7 @@ def _cmd_efl(args) -> int:
             configs.extend(level)
     ok = True
     for cfg in configs:
-        report = theorem4_certify(cfg, max_terms=args.max_terms)
+        report = theorem4_certify(cfg)
         print(json.dumps(report, sort_keys=True))
         if report["applicable"] and not report["conclusion_holds"]:
             ok = False
@@ -215,7 +215,6 @@ def _construct_arguments(p: argparse.ArgumentParser):
 def _atn_arguments(p: argparse.ArgumentParser):
     p.add_argument("input")
     p.add_argument("--method", choices=["poly", "orient", "both"], default="poly")
-    p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_GUARD)
     p.add_argument("--max-edges", type=int, default=CENSUS_GUARD)
     p.add_argument("--format", choices=["json", "text"], default="text")
 
@@ -237,7 +236,6 @@ def _verify_arguments(p: argparse.ArgumentParser):
     p.add_argument("campaign", choices=list(CAMPAIGNS))
     p.add_argument("--config", default=None, help="JSON file overriding campaign config")
     p.add_argument("--max-edges", type=int, default=None)
-    p.add_argument("--max-terms", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=["json", "text"], default="json")
 
@@ -246,7 +244,6 @@ def _efl_arguments(p: argparse.ArgumentParser):
     p.add_argument("action", choices=["generate", "certify"])
     p.add_argument("-k", type=int, default=3)
     p.add_argument("--config", default=None, help="certify one config from a JSON file")
-    p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_GUARD)
 
 
 # command -> (help, parser keyword arguments, adds its arguments, handler)

@@ -21,7 +21,7 @@ from itertools import combinations, permutations
 from .errors import InvalidConfig, SizeGuardExceeded
 from .graphs import Graph
 from .orientations import atn_from_orientations
-from .polynomials import DEFAULT_TERM_GUARD, atn_from_polynomial
+from .polynomials import atn_from_polynomial
 
 GENERATE_GUARD = 5
 
@@ -237,7 +237,7 @@ def generate_up_to(max_k: int) -> list[list[EflConfig]]:
     return [generate_all(k) for k in range(1, max_k + 1)]
 
 
-def theorem4_certify(cfg: EflConfig, max_terms: int = DEFAULT_TERM_GUARD) -> dict:
+def theorem4_certify(cfg: EflConfig) -> dict:
     """Certify one configuration: both Alon-Tarsi engines plus the case split.
 
     Rather than reconstructing an orientation argument for the connector
@@ -246,7 +246,7 @@ def theorem4_certify(cfg: EflConfig, max_terms: int = DEFAULT_TERM_GUARD) -> dic
     guard trips (m > CENSUS_GUARD, as for every k >= 4 configuration).
     """
     g = build_graph(cfg)
-    atn_p, cert_p = atn_from_polynomial(g, max_terms=max_terms)
+    atn_p, cert_p = atn_from_polynomial(g)
     try:
         atn_o, _cert_o = atn_from_orientations(g)
         agree = atn_p == atn_o

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from .errors import SizeGuardExceeded
 from .graphs import Edge, Graph, max_clique
 
-DEFAULT_TERM_GUARD = 10**7
+TERM_GUARD = 10**7
 
 
 class SparsePolynomial:
@@ -165,7 +165,6 @@ def expand_capped(
     factors,
     nvars: int,
     cap: int,
-    max_terms: int = DEFAULT_TERM_GUARD,
     start: dict[int, int] | None = None,
     held: int = 0,
 ) -> SparsePolynomial:
@@ -173,7 +172,7 @@ def expand_capped(
 
     The product starts from `start`, packed at this cap's width with nonzero
     coefficients, or from 1.  Raises SizeGuardExceeded if the live terms
-    plus the `held` terms the caller keeps elsewhere pass max_terms.
+    plus the `held` terms the caller keeps elsewhere pass TERM_GUARD.
 
     reach[x] bounds x's exponent in every live term: 0 from 1, the cap from
     a given start.  A factor raises it by one up to the cap, and while it is
@@ -181,8 +180,9 @@ def expand_capped(
     skipped; a cap of m is never tested.  The u-shift maps distinct keys to
     distinct keys, so it fills the new dict without merging.
     """
-    if cap < 0 or max_terms < 0:
-        raise ValueError(f"cap and term guard must be non-negative, got {cap}, {max_terms}")
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
+    guard = TERM_GUARD
     # cap+1 must fit in a field: a single multiplication bumps one exponent
     # by one, and the violating value is inspected before it can grow again.
     width = (cap + 1).bit_length()
@@ -220,17 +220,15 @@ def expand_capped(
                         new[kv] = x
                     else:
                         del new[kv]
-        if len(new) + held > max_terms:
-            raise SizeGuardExceeded(
-                f"live terms {len(new) + held} exceed guard {max_terms}"
-            )
+        if len(new) + held > guard:
+            raise SizeGuardExceeded(f"live terms {len(new) + held} exceed guard {guard}")
         terms = new
     return SparsePolynomial(nvars, width, terms)
 
 
 def full_expansion(g: Graph) -> SparsePolynomial:
     """The complete graph polynomial expansion (cap = m is no cap at all)."""
-    return expand_capped(g.edges, g.n, g.m, DEFAULT_TERM_GUARD)
+    return expand_capped(g.edges, g.n, g.m)
 
 
 def _finishing_blocks(g: Graph) -> list[tuple[tuple[Edge, ...], int]]:
@@ -256,9 +254,7 @@ def _finishing_blocks(g: Graph) -> list[tuple[tuple[Edge, ...], int]]:
     return blocks
 
 
-def _first_nonzero_group(
-    g: Graph, blocks, cap: int, max_terms: int
-) -> SparsePolynomial | None:
+def _first_nonzero_group(g: Graph, blocks, cap: int) -> SparsePolynomial | None:
     """The group of the cap-capped expansion that holds its smallest key,
     or None if that expansion is zero: the depth-first search over
     `blocks` that the module docstring describes."""
@@ -272,7 +268,7 @@ def _first_nonzero_group(
         j, terms = stack.pop()
         held -= len(terms)
         factors, k = blocks[j]
-        poly = expand_capped(factors, n, cap, max_terms, start=terms, held=held)
+        poly = expand_capped(factors, n, cap, start=terms, held=held)
         if j == len(blocks) - 1:
             if poly.terms:
                 return poly
@@ -374,7 +370,7 @@ def _krausz_cliques(g: Graph, d) -> list[tuple[tuple[int, ...], ...]] | None:
     return at if len(found) * (r + 1) == 2 * g.n else None
 
 
-def _coefficient_by_colorings(g: Graph, d, max_terms: int = DEFAULT_TERM_GUARD) -> int:
+def _coefficient_by_colorings(g: Graph, d) -> int:
     """Exact coefficient of x^d by the quantitative Combinatorial
     Nullstellensatz: with grids {0..d_v} and sum(d) = m,
     coeff(x^d) * prod d_v! = sum over c of P(c) * prod (-1)^(d_v-c_v) C(d_v, c_v),
@@ -400,7 +396,7 @@ def _coefficient_by_colorings(g: Graph, d, max_terms: int = DEFAULT_TERM_GUARD) 
     component's sum is (r+1)! times the pinned one.
 
     Raises SizeGuardExceeded when the walk's nodes, summed over components,
-    pass max_terms.  Expands nothing, so it shares no code with `expand_capped`
+    pass TERM_GUARD.  Expands nothing, so it shares no code with `expand_capped`
     or `coefficient_of`.
     """
     d = tuple(d)
@@ -454,7 +450,7 @@ def _coefficient_by_colorings(g: Graph, d, max_terms: int = DEFAULT_TERM_GUARD) 
     # component whole before the next, and each component is walked on its
     # own so that the nodes add across components instead of multiplying
     color = [0] * g.n  # by depth
-    total, nodes = 1, 0
+    total, nodes, guard = 1, 0, TERM_GUARD
     for first, end in zip(starts, starts[1:]):
         last = end - 1
         part = 0
@@ -473,10 +469,8 @@ def _coefficient_by_colorings(g: Graph, d, max_terms: int = DEFAULT_TERM_GUARD) 
                     q *= c - x
                 children.append((i, c, q * p))
             nodes += len(children)
-            if nodes > max_terms:
-                raise SizeGuardExceeded(
-                    f"colorings walk: nodes {nodes} exceed guard {max_terms}"
-                )
+            if nodes > guard:
+                raise SizeGuardExceeded(f"colorings walk: nodes {nodes} exceed guard {guard}")
             if i == last:
                 part += sum(q for _, _, q in children)
             else:
@@ -492,9 +486,7 @@ def _coefficient_by_colorings(g: Graph, d, max_terms: int = DEFAULT_TERM_GUARD) 
     return coeff
 
 
-def atn_from_polynomial(
-    g: Graph, max_terms: int = DEFAULT_TERM_GUARD
-) -> tuple[int, MonomialCertificate]:
+def atn_from_polynomial(g: Graph) -> tuple[int, MonomialCertificate]:
     """Alon-Tarsi number via capped expansions, with a monomial certificate.
 
     Finds the smallest b >= 1 whose (b-1)-capped expansion is nonzero; the
@@ -525,20 +517,18 @@ def atn_from_polynomial(
     is the sum over proper colorings c with c_v <= d_v of
     P(c) prod (-1)^(d_v-c_v) C(d_v, c_v).  A nonzero value is the lone, so
     lexicographically first, survivor, and the certificate is unchanged; a
-    zero one moves on to cap b.  `max_terms` bounds the walk's nodes too.
+    zero one moves on to cap b.  TERM_GUARD bounds the walk's nodes too.
     """
-    if max_terms < 0:
-        raise ValueError(f"term guard must be non-negative, got {max_terms}")
     bound = _lower_bound(g)
     blocks = _finishing_blocks(g)
     for b in range(max(bound.bound, 1), g.m + 2):
         if (b - 1) * g.n == g.m:
             lone = (b - 1,) * g.n
-            coeff = _coefficient_by_colorings(g, lone, max_terms)
+            coeff = _coefficient_by_colorings(g, lone)
             if coeff:
                 return b, MonomialCertificate(b, lone, coeff, bound)
             continue
-        poly = _first_nonzero_group(g, blocks, b - 1, max_terms)
+        poly = _first_nonzero_group(g, blocks, b - 1)
         if poly is not None:
             key = min(poly.terms)
             return b, MonomialCertificate(b, poly.unpack(key), poly.terms[key], bound)
@@ -555,7 +545,7 @@ def coefficient_of(g: Graph, target) -> int:
     finished vertex is thus pinned at its target, so the live terms differ
     only on the unfinished vertices the factors so far touch: the frontier
     of the edge order.  Raises SizeGuardExceeded when the live terms pass
-    DEFAULT_TERM_GUARD.  Total degree is m, so off-degree targets are zero
+    TERM_GUARD.  Total degree is m, so off-degree targets are zero
     immediately.  Shares no code with `expand_capped`, whose certificates
     it rechecks.
     """
@@ -579,8 +569,8 @@ def coefficient_of(g: Graph, target) -> int:
                 key = exps[:v] + (exps[v] + 1,) + exps[v + 1 :]
                 new[key] = new.get(key, 0) - c
         terms = {key: c for key, c in new.items() if c}
-        if len(terms) > DEFAULT_TERM_GUARD:
+        if len(terms) > TERM_GUARD:
             raise SizeGuardExceeded(
-                f"coefficient_of: live terms {len(terms)} exceed guard {DEFAULT_TERM_GUARD}"
+                f"coefficient_of: live terms {len(terms)} exceed guard {TERM_GUARD}"
             )
     return terms.get(target, 0)

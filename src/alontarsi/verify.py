@@ -44,7 +44,6 @@ from .orientations import (
     orientation_census_table,
 )
 from .polynomials import (
-    DEFAULT_TERM_GUARD,
     atn_from_polynomial,
     coefficient_of,
     full_expansion,
@@ -154,7 +153,7 @@ def _run_thm2(claims: dict, values: dict, g: Graph) -> None:
         claims["augment_class1"] = chromatic_index_class(augmented) == 1
 
 
-def _run_cor3(claims: dict, values: dict, gname: str, max_terms: int) -> None:
+def _run_cor3(claims: dict, values: dict, gname: str) -> None:
     g = named_graph(gname)
     values.update(graph=_graph_descriptor(g), delta=g.max_degree())
     total = total_graph(g)
@@ -165,7 +164,7 @@ def _run_cor3(claims: dict, values: dict, gname: str, max_terms: int) -> None:
     claims["half_square_original_is_base"] = half_orig.edges == g.edges
     claims["half_square_edge_is_line"] = half_edge.edges == line_graph(g).edges
     claims["cross_edges_are_subdivision"] = cross == subdivision_graph(g).edges
-    atn, cert = atn_from_polynomial(total, max_terms=max_terms)
+    atn, cert = atn_from_polynomial(total)
     values["atn_total"] = atn
     values["certificate"] = cert.to_json_obj()
     claims["atn_total_le_delta_plus_3"] = atn <= g.max_degree() + 3
@@ -277,9 +276,9 @@ _CLAIMS = {
 }
 
 
-def _named_graphs(prefix: str, worker, gnames, *extra) -> list[tuple[str, tuple]]:
+def _named_graphs(prefix: str, worker, gnames) -> list[tuple[str, tuple]]:
     return [
-        (f"{prefix}/{i:03d}-{gname}", (worker, gname, *extra))
+        (f"{prefix}/{i:03d}-{gname}", (worker, gname))
         for i, gname in enumerate(gnames)
     ]
 
@@ -325,8 +324,8 @@ _REGISTRY = {
         ),
     ),
     "cor3": (
-        {"graphs": ["K2", "P3", "P4", "K3", "C4", "K1,3"], "max_terms": DEFAULT_TERM_GUARD},
-        lambda cfg: _named_graphs("cor3", _run_cor3, cfg["graphs"], cfg["max_terms"]),
+        {"graphs": ["K2", "P3", "P4", "K3", "C4", "K1,3"]},
+        lambda cfg: _named_graphs("cor3", _run_cor3, cfg["graphs"]),
     ),
     "thm4": (
         {"max_k": 3},

@@ -25,6 +25,7 @@ from alontarsi import (
     line_graph,
     named_graph,
     parse_edge_list_text,
+    polynomials,
     to_edge_list_text,
     verify,
 )
@@ -366,7 +367,7 @@ class TestVerify:
         [
             ("thm1", {"graphs": ["2K2", "C4", "K4"]}),
             ("thm2", {"max_edges": 6}),
-            ("cor3", {"graphs": ["K2", "P3", "P4", "K3", "C4", "K1,3"], "max_terms": 10000000}),
+            ("cor3", {"graphs": ["K2", "P3", "P4", "K3", "C4", "K1,3"]}),
             ("thm4", {"max_k": 3}),
             ("duality", {"max_edges": 8, "engine_max_n": 5, "seed": 0}),
             ("sandwich", {"max_n": 5}),
@@ -412,10 +413,11 @@ def census_by_orientation(g):
 
 
 class TestVerifyGuards:
-    def test_memory_guard_gives_skip_reports(self, capsys):
+    def test_memory_guard_gives_skip_reports(self, monkeypatch, capsys):
         # the term guard trips in the last claim's expansion: the claims
         # decided before it stand, and only that claim is "SKIP"
-        assert main(["verify", "cor3", "--max-terms", "4"]) == 0
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 4)
+        assert main(["verify", "cor3"]) == 0
         reports = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
         assert len(reports) == 6
         for rep in reports:
@@ -592,12 +594,9 @@ class TestVerifyGuards:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["atn", "{g}", "--max-terms", "-1"], "term guard"),
             (["atn", "{g}", "--method", "orient", "--max-edges", "-1"], "edge guard"),
             (["census", "{g}", "--bits", "0x0", "--max-edges", "-1"], "edge guard"),
             (["choosable", "{g}", "-k", "2", "--max-nodes", "-1"], "k and max_nodes"),
-            (["efl", "certify", "-k", "1", "--max-terms", "-1"], "term guard"),
-            (["verify", "cor3", "--max-terms", "-1"], "term guard"),
         ],
     )
     def test_negative_guard_is_bad_input(self, argv, message, k3_file, capsys):
@@ -606,6 +605,23 @@ class TestVerifyGuards:
         assert captured.out == ""
         assert f"invalid input: {message} must be non-negative, got " in captured.err
         assert captured.err.endswith("-1\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["atn", "{g}", "--max-terms", "5"],
+            ["efl", "certify", "--max-terms", "5"],
+            ["verify", "cor3", "--max-terms", "4"],
+        ],
+    )
+    def test_term_guard_is_no_option(self, argv, k3_file, capsys):
+        # the term guard is the module constant polynomials.TERM_GUARD
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(g=k3_file) for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --max-terms" in captured.err
 
     def test_duality_census_uses_the_table_guard(self):
         # the worker sees no campaign config: the census table's own guard
@@ -628,6 +644,7 @@ class TestVerifyGuards:
             ("thm2", "host_factorization_max_n", 24),
             ("sandwich", "choosable_max_n", 6),
             ("sandwich", "choosable_max_k", 4),
+            ("cor3", "max_terms", 10_000_000),
         ]:
             cfg = _config_file(tmp_path, {key: value})
             assert main(["verify", campaign, "--config", cfg]) == 2
@@ -642,8 +659,8 @@ class TestVerifyGuards:
             ("thm2", {"max_edges": "x"}),
             ("thm2", {"max_edges": True}),
             ("thm1", {"graphs": ["K4", 3]}),
-            # a negative guard, and configs that select no instance
-            ("cor3", {"max_terms": -1}),
+            # a list given as a string, and configs that select no instance
+            ("cor3", {"graphs": "K4"}),
             ("thm1", {"graphs": []}),
             ("cor3", {"graphs": []}),
             ("thm2", {"max_edges": 0}),
@@ -769,16 +786,16 @@ VALID_ARGV = [
     ["construct", "augment", "g.txt", "--output", "out.txt"],
     ["atn", "g.txt"],
     ["atn", "g.txt", "--meth", "orient", "--format", "json"],
-    ["atn", "g.txt", "--method", "both", "--max-terms", "9", "--max-edges", "5", "--format", "text"],
+    ["atn", "g.txt", "--method", "both", "--max-edges", "5", "--format", "text"],
     ["census", "g.txt", "--bits", "0x2a"],
     ["census", "g.txt", "--max-edges", "3", "--bits", "1"],
     ["choosable", "g.txt", "-k", "2"],
     ["choosable", "g.txt", "-k", "3", "--max-nodes", "4", "--format", "json"],
     ["verify", "thm1"],
     ["verify", "duality", "--config", "cfg.json", "--max-edges", "4", "--format", "text"],
-    ["verify", "cor3", "--max-terms", "7", "--seed", "3", "--format", "json"],
+    ["verify", "cor3", "--seed", "3", "--format", "json"],
     ["efl", "generate"],
-    ["efl", "certify", "-k", "2", "--config", "cfg.json", "--max-terms", "10"],
+    ["efl", "certify", "-k", "2", "--config", "cfg.json"],
 ]
 
 # argv that end in SystemExit: help, usage and errors of every kind

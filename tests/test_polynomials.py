@@ -10,6 +10,7 @@ from alontarsi import (
     LowerBound,
     SizeGuardExceeded,
     all_graphs,
+    atn_from_orientations,
     atn_from_polynomial,
     coefficient_of,
     complete_bipartite,
@@ -59,9 +60,7 @@ def search_from_cap_zero(g):
     from 0 up, as (b, exponents, coefficient)."""
     blocks = polynomials._finishing_blocks(g)
     for b in range(1, g.m + 2):
-        poly = polynomials._first_nonzero_group(
-            g, blocks, b - 1, polynomials.DEFAULT_TERM_GUARD
-        )
+        poly = polynomials._first_nonzero_group(g, blocks, b - 1)
         if poly is not None:
             key = min(poly.terms)
             return b, poly.unpack(key), poly.terms[key]
@@ -114,9 +113,9 @@ class TestExpandCapped:
     def test_full_expansion_reads_the_guard_when_called(self, monkeypatch):
         # K4's full expansion peaks at 24 live terms, after its last factor
         g = complete_graph(4)
-        monkeypatch.setattr(polynomials, "DEFAULT_TERM_GUARD", 24)
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 24)
         assert full_expansion(g).num_terms() == 24
-        monkeypatch.setattr(polynomials, "DEFAULT_TERM_GUARD", 23)
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 23)
         with pytest.raises(SizeGuardExceeded, match="live terms 24 exceed guard 23"):
             full_expansion(g)
 
@@ -137,26 +136,26 @@ class TestExpandCapped:
             for exps, _ in full_expansion(g).items():
                 assert sum(exps) == g.m
 
-    def test_memory_guard(self):
+    def test_memory_guard(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 10)
         with pytest.raises(SizeGuardExceeded):
-            expand_capped(
-                complete_graph(5).edges, 5, 4, max_terms=10
-            )
+            expand_capped(complete_graph(5).edges, 5, 4)
 
-    def test_memory_guard_propagates_through_atn(self):
+    def test_memory_guard_propagates_through_atn(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 5)
         with pytest.raises(SizeGuardExceeded):
-            atn_from_polynomial(complete_graph(5), max_terms=5)
+            atn_from_polynomial(complete_graph(5))
 
     def test_negative_guard_rejected(self):
-        with pytest.raises(ValueError, match="term guard must be non-negative, got 1, -1"):
-            expand_capped(complete_graph(2).edges, 2, 1, max_terms=-1)
-        with pytest.raises(ValueError, match="term guard must be non-negative, got -1"):
-            atn_from_polynomial(complete_graph(2), max_terms=-1)
+        with pytest.raises(ValueError, match="cap must be non-negative, got -1"):
+            expand_capped(complete_graph(2).edges, 2, -1)
 
-    def test_guard_counts_held_terms(self):
-        expand_capped([(0, 1)], 2, 1, max_terms=4, held=2)
+    def test_guard_counts_held_terms(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 4)
+        expand_capped([(0, 1)], 2, 1, held=2)
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 3)
         with pytest.raises(SizeGuardExceeded, match="live terms 4 exceed guard 3"):
-            expand_capped([(0, 1)], 2, 1, max_terms=3, held=2)
+            expand_capped([(0, 1)], 2, 1, held=2)
 
     def test_start_continues_a_product(self):
         edges = complete_graph(4).edges
@@ -353,9 +352,8 @@ class TestLexFirstSearch:
         # time they take 3 * 5,680
         k44 = complete_bipartite(4, 4)
         g = line_graph(disjoint_union(disjoint_union(k44, k44), k44))
-        (value, cert), calls = self.count_expansions(
-            monkeypatch, lambda: atn_from_polynomial(g, max_terms=20_000)
-        )
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 20_000)
+        (value, cert), calls = self.count_expansions(monkeypatch, lambda: atn_from_polynomial(g))
         assert (value, cert.exponents, cert.coefficient, calls) == (4, (3,) * 48, 576**3, 0)
 
     @pytest.mark.parametrize("n, value, coefficient", [(1000, 2, -2), (1001, 3, -1)])
@@ -480,9 +478,9 @@ class TestCoefficientOf:
         # bump checked against the factors still ahead, at most 8 terms are
         # ever live at once
         g = complete_graph(5)
-        monkeypatch.setattr(polynomials, "DEFAULT_TERM_GUARD", 8)
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 8)
         assert coefficient_of(g, (2,) * 5) == 0
-        monkeypatch.setattr(polynomials, "DEFAULT_TERM_GUARD", 7)
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 7)
         with pytest.raises(SizeGuardExceeded, match="live terms 8 exceed guard 7"):
             coefficient_of(g, (2,) * 5)
 
@@ -532,28 +530,32 @@ class TestCoefficientByColorings:
         assert polynomials._coefficient_by_colorings(g, (1, 1, 1, 0)) == 0
         assert polynomials._coefficient_by_colorings(g, (3, 1, 0, 0)) == 0
 
-    def test_components_are_walked_apart(self):
+    def test_components_are_walked_apart(self, monkeypatch):
         # the nodes add over components, each walked with one clique pinned:
         # 238 for one L(K4,4) (5,680 unpinned), 714 for three
         one = line_graph(complete_bipartite(4, 4))
         three = disjoint_union(disjoint_union(one, one), one)
         walk = polynomials._coefficient_by_colorings
-        assert walk(one, (3,) * 16, max_terms=238) == 576
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 238)
+        assert walk(one, (3,) * 16) == 576
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 237)
         with pytest.raises(SizeGuardExceeded, match="exceed guard 237$"):
-            walk(one, (3,) * 16, max_terms=237)
-        assert walk(three, (3,) * 48, max_terms=714) == 576**3
+            walk(one, (3,) * 16)
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 714)
+        assert walk(three, (3,) * 48) == 576**3
         with pytest.raises(SizeGuardExceeded, match="exceed guard 714$"):
-            walk(disjoint_union(three, one), (3,) * 64, max_terms=714)
+            walk(disjoint_union(three, one), (3,) * 64)
         # a zero component ends the walk: L(K3,3) all-2 is 0
         g = disjoint_union(one, line_graph(complete_bipartite(3, 3)))
         assert walk(g, (3,) * 16 + (2,) * 9) == 0
 
-    def test_guard_counts_walk_nodes(self):
+    def test_guard_counts_walk_nodes(self, monkeypatch):
         g = line_graph(complete_bipartite(4, 4))
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 100)
         with pytest.raises(SizeGuardExceeded, match="exceed guard 100$"):
-            polynomials._coefficient_by_colorings(g, (3,) * g.n, max_terms=100)
+            polynomials._coefficient_by_colorings(g, (3,) * g.n)
         with pytest.raises(SizeGuardExceeded, match="exceed guard 100$"):
-            atn_from_polynomial(g, max_terms=100)
+            atn_from_polynomial(g)
 
 
 def unpinned_walk(monkeypatch, g, d):
@@ -632,18 +634,114 @@ class TestPinnedColoringsWalk:
             ("L(K7)", line_graph(complete_graph(7))),
         ],
     )
-    def test_odd_clique_count_is_zero_at_once(self, name, g):
+    def test_odd_clique_count_is_zero_at_once(self, monkeypatch, name, g):
         # an odd number of cliques: K5 and K7 have no perfect matching, so
         # their line graphs have no proper Delta-coloring, and no node is walked
         d = (g.m // g.n,) * g.n
         assert polynomials._krausz_cliques(g, d) is not None
-        assert polynomials._coefficient_by_colorings(g, d, max_terms=0) == 0
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 0)
+        assert polynomials._coefficient_by_colorings(g, d) == 0
 
-    def test_line_graph_of_k8(self):
+    def test_line_graph_of_k8(self, monkeypatch):
         # all-6 by the pinned walk in 131,056 nodes; K8 is class 1, so ATN(L(K8))
         # = 7 = Delta, as thm1 claims
-        value, cert = atn_from_polynomial(line_graph(complete_graph(8)), max_terms=150_000)
+        monkeypatch.setattr(polynomials, "TERM_GUARD", 150_000)
+        value, cert = atn_from_polynomial(line_graph(complete_graph(8)))
         assert (value, cert.exponents, cert.coefficient) == (7, (6,) * 28, 21_772_800)
+
+
+def is_bipartite(g):
+    adj = g.adjacency()
+    side = {}
+    for root in range(g.n):
+        if root in side:
+            continue
+        side[root] = 0
+        queue = [root]
+        for x in queue:
+            for y in adj[x]:
+                if y not in side:
+                    side[y] = side[x] ^ 1
+                    queue.append(y)
+                elif side[y] == side[x]:
+                    return False
+    return True
+
+
+def hakimi_atn(g):
+    """1 + the least maximum outdegree over the orientations of g."""
+    out = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        out[u].add(v)
+    while True:
+        top = max(map(len, out), default=0)
+        parent = {v: None for v in range(g.n) if len(out[v]) == top}
+        queue = list(parent)
+        end = None
+        for x in queue:  # breadth first along arcs, from every top vertex
+            if len(out[x]) <= top - 2:
+                end = x
+                break
+            for y in out[x]:
+                if y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+        if end is None:
+            return top + 1
+        while parent[end] is not None:  # reverse the path, arc by arc
+            x = parent[end]
+            out[x].remove(end)
+            out[end].add(x)
+            end = x
+
+
+def grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges)
+
+
+BIPARTITE_FAMILIES = [
+    *((f"K{n},{n}", complete_bipartite(n, n), 1 + -(-n // 2)) for n in range(2, 6)),
+    ("Q3", hypercube(3), 3),
+    ("Q4", hypercube(4), 3),
+    ("C16", cycle_graph(16), 2),
+    ("4x4 grid", grid(4, 4), 3),
+]
+
+
+class TestHakimiOracle:
+    """Alon-Tarsi numbers of bipartite graphs against Hakimi's closed form.
+
+    In a bipartite graph every Eulerian subdigraph is a union of even cycles,
+    so it has an even number of arcs, and every orientation is Alon-Tarsi.
+    Hence ATN(G) = 1 + the least maximum outdegree over all orientations,
+    which augmenting paths find: reverse a directed path from a vertex of
+    maximum outdegree D to one of outdegree at most D - 2 while one exists.
+    When none does, the vertices such paths reach have outdegree at least
+    D - 1, one of them D, and no arc leaves them; so the subgraph H they
+    induce has m(H) > (D - 1) n(H), and every orientation gives some vertex of
+    H outdegree D (S. L. Hakimi, J. Franklin Inst. 279 (1965)).
+    """
+
+    def test_bipartite_graphs_on_at_most_7_vertices(self):
+        # 142 graphs with an edge and the 7 edgeless ones, whose ATN is 1
+        family = [g for g in all_graphs(7) if is_bipartite(g)]
+        assert (len(family), sum(g.m >= 1 for g in family)) == (149, 142)
+        for g in family:
+            assert atn_from_polynomial(g)[0] == hakimi_atn(g), g.edges
+
+    @pytest.mark.parametrize(
+        "name, g, closed_form", BIPARTITE_FAMILIES, ids=[name for name, _, _ in BIPARTITE_FAMILIES]
+    )
+    def test_named_families(self, name, g, closed_form):
+        # K_{n,n} gives 1 + ceil(n/2), Q_d 1 + ceil(d/2), an even cycle 2 and
+        # the 4x4 grid 1 + ceil(24/16)
+        assert is_bipartite(g)
+        assert hakimi_atn(g) == closed_form
+        assert atn_from_polynomial(g)[0] == closed_form
+        if g.m <= 22:  # CENSUS_GUARD
+            assert atn_from_orientations(g)[0] == closed_form
 
 
 class TestVandermonde:
