@@ -594,9 +594,22 @@ class TestVerifyGuards:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["atn", "{g}", "--method", "orient", "--max-edges", "-1"], "edge guard"),
-            (["census", "{g}", "--bits", "0x0", "--max-edges", "-1"], "edge guard"),
-            (["choosable", "{g}", "-k", "2", "--max-nodes", "-1"], "k and max_nodes"),
+            # explicit ids keep each case's name fixed when rows are added or removed
+            pytest.param(
+                ["atn", "{g}", "--method", "orient", "--max-edges", "-1"],
+                "edge guard",
+                id="argv1-edge guard",
+            ),
+            pytest.param(
+                ["census", "{g}", "--bits", "0x0", "--max-edges", "-1"],
+                "edge guard",
+                id="argv2-edge guard",
+            ),
+            pytest.param(
+                ["choosable", "{g}", "-k", "2", "--max-nodes", "-1"],
+                "k and max_nodes",
+                id="argv3-k and max_nodes",
+            ),
         ],
     )
     def test_negative_guard_is_bad_input(self, argv, message, k3_file, capsys):
