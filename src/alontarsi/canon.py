@@ -8,9 +8,21 @@ columns are already lex-smaller than the best leaf's; B. D. McKay,
 "Practical graph isomorphism", Congr. Numer. 30 (1981)).  Each unplaced
 vertex keeps its column as a running bitmask, updated as its neighbours are
 placed and taken back, so a search node costs one scan for the largest
-column.  Disconnected graphs key on the sorted multiset of component keys.
-Keys of isomorphic graphs are equal, keys of non-isomorphic graphs differ,
-and everything here is deterministic.
+column.  The roots are the argmax of two refinement rounds of (degree,
+sorted neighbour invariants); as that order compares the degree first and
+each round's tuple starts with the last round's value, the argmax is found
+by narrowing the vertices of largest degree one round at a time, computing
+a round only on the vertices still tied and their neighbours.
+Disconnected graphs key on the sorted multiset of component keys.  Keys of
+isomorphic graphs are equal, keys of non-isomorphic graphs differ, and
+everything here is deterministic.
+
+The catalogs grow graphs one edge at a time and key one move per orbit of
+a group of automorphisms: the twin swaps and the automorphisms that the
+key search's tied best leaves show.  An automorphism carries each move to
+one giving an isomorphic graph, so the skipped moves' keys are always
+seen already (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+26 (1998)).
 
 Desk scale only: the catalogs below top out around nine vertices per
 component, which is all the verification campaigns need.
@@ -29,15 +41,51 @@ CATALOG_GUARD = 5000
 
 
 def _invariants(adj: list[frozenset]) -> list[tuple]:
-    """Two refinement rounds of (degree, sorted neighbor invariants)."""
+    """Two refinement rounds of (degree, sorted neighbor invariants).
+
+    is_isomorphic matches vertices by these.  The key search roots at their
+    argmax, which _roots finds without computing them all (the tests check
+    that the two agree), so is_isomorphic shares no code with canonical_key.
+    """
     inv = [len(s) for s in adj]
     for _ in range(2):
         inv = [(inv[v], tuple(sorted(inv[w] for w in adj[v]))) for v in range(len(adj))]
     return inv
 
 
-def _connected_key(g: Graph) -> tuple:
-    """(n, column 1, ..., column n-1) of the lex-largest ordering of g.
+def _argmax(cands, score) -> list:
+    """The candidates of largest score, in their given order."""
+    scores = [score(v) for v in cands]
+    top = max(scores)
+    return [v for v, s in zip(cands, scores) if s == top]
+
+
+def _roots(adj: list[frozenset]) -> list[int]:
+    """The vertices where _invariants is largest, refined only where tied.
+
+    _invariants compares the degree first, then the sorted degrees of the
+    neighbours, then the neighbours' sorted first-round invariants, so its
+    argmax is the vertices of largest degree narrowed by each round in turn,
+    and a round need only be computed on the vertices still tied and, for
+    the second, on their neighbours.
+    """
+    deg = [len(s) for s in adj]
+    roots = _argmax(range(len(adj)), deg.__getitem__)
+    if len(roots) > 1:
+        roots = _argmax(roots, lambda v: sorted(deg[w] for w in adj[v]))
+    if len(roots) > 1:
+        first_round: dict[int, tuple] = {}
+        for v in roots:
+            for w in adj[v]:
+                if w not in first_round:
+                    first_round[w] = (deg[w], sorted(deg[x] for x in adj[w]))
+        roots = _argmax(roots, lambda v: sorted(first_round[w] for w in adj[v]))
+    return roots
+
+
+def _key_and_automorphisms(g: Graph) -> tuple[tuple, list[list[int]]]:
+    """(n, column 1, ..., column n-1) of the lex-largest ordering of g, and
+    the automorphisms that its tied best leaves show.
 
     The column at position i is the bitmask of positions before i that hold
     a neighbour of the vertex placed there.  Every unplaced vertex w keeps
@@ -46,15 +94,15 @@ def _connected_key(g: Graph) -> tuple:
     flips the bit off again.  A node places one of the unplaced vertices of
     largest column, branching over ties but only once per twin class, so
     the search tree is that of recomputing every column from the order.
+
+    Two orderings with the best columns give g the same adjacency matrix, so
+    the map from the first best leaf's vertex at each position to another's
+    vertex there is an automorphism, listed as its image of each vertex.
     """
     n = g.n
     if n <= 1:
-        return (n,)
+        return (n,), []
     adj = list(g.adjacency())
-    inv = _invariants(adj)
-    best_inv = max(inv)
-    roots = [v for v in range(n) if inv[v] == best_inv]
-
     first = first_twins(adj)
 
     def collapse(cands: list[int]) -> list[int]:
@@ -67,12 +115,15 @@ def _connected_key(g: Graph) -> tuple:
     # negative, so the largest value is always an unplaced vertex's column
     col = [0] * n
     cols: list[int] = []  # the chosen columns at positions 1..i-1
+    order = [0] * n  # the vertex placed at each position
     best: list[int] | None = None
+    leaves: list[list[int]] = []  # the orderings whose columns are best
 
     def extend(w: int, i: int):
         """Place w at position i, search every branch below it, take it out."""
         nonlocal best
         saved, col[w] = col[w], -1
+        order[i] = w
         bit = 1 << i
         nbrs = adj[w]
         for x in nbrs:
@@ -81,6 +132,9 @@ def _connected_key(g: Graph) -> tuple:
         if i == n:
             if best is None or cols > best:
                 best = list(cols)
+                leaves[:] = [list(order)]
+            elif cols == best:
+                leaves.append(list(order))
         else:
             top, cands = 0, []
             for v, c in enumerate(col):
@@ -100,11 +154,22 @@ def _connected_key(g: Graph) -> tuple:
         col[w] = saved
 
     try:
-        for r in collapse(roots):
+        for r in collapse(_roots(adj)):
             extend(r, 0)
     finally:
         del extend  # extend holds itself through its closure; this breaks the cycle
-    return (n, *best)
+    autos = []
+    for leaf in leaves[1:]:
+        sigma = [0] * n
+        for u, v in zip(leaves[0], leaf):
+            sigma[u] = v
+        autos.append(sigma)
+    return (n, *best), autos
+
+
+def _connected_key(g: Graph) -> tuple:
+    """(n, column 1, ..., column n-1) of the lex-largest ordering of g."""
+    return _key_and_automorphisms(g)[0]
 
 
 def _union_key(keys: list[tuple]) -> tuple:
@@ -172,49 +237,74 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _first_of_orbits(moves: list[tuple[int, int]], perms) -> list[tuple[int, int]]:
+    """The moves that come first in their orbits under the group perms generate.
+
+    A move is a vertex pair, and a permutation p carries (u, v) to the pair
+    {p[u], p[v]}; every image of a listed move must be listed.
+    """
+    done: set[tuple[int, int]] = set()
+    kept = []
+    for move in moves:
+        if move in done:
+            continue
+        kept.append(move)
+        done.add(move)
+        orbit = [move]
+        for u, v in orbit:  # orbit grows as the loop walks it
+            for p in perms:
+                a, b = p[u], p[v]
+                image = (a, b) if a < b else (b, a)
+                if image not in done:
+                    done.add(image)
+                    orbit.append(image)
+    return kept
+
+
 def _grown_catalog(
     name: str, start: Graph, max_edges: int, key, max_vertices
 ) -> list[tuple[tuple, Graph]]:
     """Graphs grown from start by up to max_edges one-edge moves, one per key.
 
-    A move joins two non-adjacent vertices or, below max_vertices vertices,
-    attaches a pendant vertex.  Growth goes level by level and keeps the
-    first graph found per key; pairs come back sorted by (m, n, key).
-    Keeping more than CATALOG_GUARD graphs raises SizeGuardExceeded.
+    A move joins two non-adjacent vertices u < v or, below max_vertices
+    vertices, attaches a pendant vertex to u, written as the pair (u, n).
+    Growth goes level by level and keeps the first graph found per key;
+    pairs come back sorted by (m, n, key).  Keeping more than CATALOG_GUARD
+    graphs raises SizeGuardExceeded.  key(h) gives h's key and a list of
+    automorphisms of h, each as its image of every vertex.
 
-    Only one move per twin orbit is keyed: a join of two classes' first
-    members, a join of one class's first two members, or a pendant at a
-    class's first member.  Permuting a twin class is an automorphism, and
-    it carries every skipped move to a kept one that comes earlier in the
-    move list, so the skipped move's key was always already seen: the first
-    graph found per key, the level order and the guard's trip point are
-    those of keying every move.
+    Only the first move of each orbit is keyed, under the group that the
+    twin swaps (permuting a twin class is an automorphism) and the
+    automorphisms key reported for the graph generate.  An automorphism σ
+    carries g + (u, v) onto g + (σ(u), σ(v)), with σ fixing the new vertex
+    n, so every move of an orbit gives the same key, and the first of them
+    is the one the move list meets first: a skipped move's key was always
+    already seen.  So the first graph found per key, the level order and
+    the guard's trip point are those of keying every move.
     """
-    seen = {key(start): start}
-    level = [start]
+    k, autos = key(start)
+    seen = {k: start}
+    level = [(start, autos)]
     for _ in range(max_edges):
         nxt = []
-        for g in level:
+        for g, autos in level:
+            n = g.n
             adj = g.adjacency()
-            first = first_twins(adj)
-            joins = [
-                (u, v)
-                for u in range(g.n)
-                if first[u] == u
-                for v in range(u + 1, g.n)
-                if v not in adj[u]
-                and (first[v] == v or (first[v] == u and first.index(u, u + 1) == v))
-            ]
-            cands = [Graph(g.n, g.edges + (e,)) for e in joins]
-            if max_vertices is None or g.n < max_vertices:
-                cands += [
-                    Graph(g.n + 1, g.edges + ((u, g.n),)) for u in range(g.n) if first[u] == u
-                ]
-            for h in cands:
-                k = key(h)
+            moves = [(u, v) for u in range(n) for v in range(u + 1, n) if v not in adj[u]]
+            if max_vertices is None or n < max_vertices:
+                moves += [(u, n) for u in range(n)]
+            perms = [sigma + [n] for sigma in autos]
+            for v, f in enumerate(first_twins(adj)):
+                if f != v:
+                    swap = list(range(n + 1))
+                    swap[f], swap[v] = v, f
+                    perms.append(swap)
+            for u, v in _first_of_orbits(moves, perms):
+                h = Graph(max(n, v + 1), g.edges + ((u, v),))
+                k, h_autos = key(h)
                 if k not in seen:
                     seen[k] = h
-                    nxt.append(h)
+                    nxt.append((h, h_autos))
                     if len(seen) > CATALOG_GUARD:
                         raise SizeGuardExceeded(
                             f"catalog guard: {len(seen)} {name} > {CATALOG_GUARD}"
@@ -227,7 +317,7 @@ def _grown_catalog(
 def _connected_catalog(max_edges: int, max_vertices=None) -> list[tuple[tuple, Graph]]:
     """connected_graphs' graphs paired with their connected keys."""
     return _grown_catalog(
-        "connected graphs", Graph(1, []), max_edges, _connected_key, max_vertices
+        "connected graphs", Graph(1, []), max_edges, _key_and_automorphisms, max_vertices
     )
 
 
@@ -263,7 +353,11 @@ def all_graphs(max_vertices: int) -> list[Graph]:
         g
         for n in range(1, max_vertices + 1)
         for _, g in _grown_catalog(
-            f"graphs on {n} vertices", Graph(n, []), n * (n - 1) // 2, canonical_key, n
+            f"graphs on {n} vertices",
+            Graph(n, []),
+            n * (n - 1) // 2,
+            lambda h: (canonical_key(h), []),
+            n,
         )
     ]
 

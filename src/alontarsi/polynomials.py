@@ -92,6 +92,10 @@ class SparsePolynomial:
             key = (key << self.width) + e
         return key
 
+    def unit_keys(self) -> list[int]:
+        """The key of each variable on its own, pack of its unit vector."""
+        return [1 << s for s in range((self.nvars - 1) * self.width, -1, -self.width)]
+
     def unpack(self, key: int) -> tuple[int, ...]:
         mask = (1 << self.width) - 1
         shifts = range((self.nvars - 1) * self.width, -1, -self.width)

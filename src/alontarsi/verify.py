@@ -184,7 +184,7 @@ def _run_duality_census(claims: dict, values: dict, g: Graph) -> None:
     # keys[d] is the packed outdegree vector of orientation d.  Orientation 0
     # points every edge away from u; setting bit e moves one out-arc from u
     # to v.  Adding packed keys is safe: no outdegree passes m, the cap.
-    unit = [poly.pack([int(x == y) for y in range(g.n)]) for x in range(g.n)]
+    unit = poly.unit_keys()
     keys = [sum(unit[u] for u, _ in g.edges)]
     for u, v in g.edges:
         step = unit[v] - unit[u]

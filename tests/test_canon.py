@@ -27,6 +27,8 @@ from alontarsi.canon import (
     _connected_catalog,
     _connected_key,
     _invariants,
+    _key_and_automorphisms,
+    _roots,
 )
 from alontarsi.graphs import first_twins
 
@@ -247,13 +249,47 @@ class TestPrunesKeepOutputs:
         assert first_twins(cycle_graph(1001).adjacency()) == list(range(1001))
 
     def test_catalog_key_calls_are_pinned(self, monkeypatch):
-        # growing the nine-edge catalog keys 6,065 candidate graphs; a change
-        # to the key search's cost per node must not change how many it keys
+        # growing the nine-edge catalog keys 4,997 candidate graphs (6,065
+        # under the twin swaps alone); a change to the key search's cost per
+        # node must not change how many it keys
         calls = []
-        key = canon._connected_key
-        monkeypatch.setattr(canon, "_connected_key", lambda g: calls.append(g) or key(g))
+        key = canon._key_and_automorphisms
+        monkeypatch.setattr(canon, "_key_and_automorphisms", lambda g: calls.append(g) or key(g))
         assert len(_connected_catalog(9)) == 1069
-        assert len(calls) == 6065
+        assert len(calls) == 4997
+
+    def test_reported_automorphisms_keep_the_edges(self):
+        rng = random.Random(11)
+        for _, g in _connected_catalog(8):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            for h in (g, g.relabel(perm)):
+                edges = set(h.edges)
+                for sigma in _key_and_automorphisms(h)[1]:
+                    assert sorted(sigma) == list(range(h.n))
+                    assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in edges} == edges
+
+    def test_automorphisms_are_reported(self):
+        # C5's ten automorphisms, less the identity, all show as tied leaves;
+        # a path's reversal does too, and an asymmetric tree shows none
+        assert len(_key_and_automorphisms(cycle_graph(5))[1]) == 9
+        assert _key_and_automorphisms(path_graph(4))[1] == [[3, 2, 1, 0]]
+        spider = Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+        assert _key_and_automorphisms(spider)[1] == []
+
+    def test_roots_are_the_argmax_of_the_invariants(self, monkeypatch):
+        def argmax(adj):
+            inv = _invariants(adj)
+            top = max(inv)
+            return [v for v in range(len(adj)) if inv[v] == top]
+
+        keyed = []
+        key = canon._key_and_automorphisms
+        monkeypatch.setattr(canon, "_key_and_automorphisms", lambda g: keyed.append(g) or key(g))
+        _connected_catalog(9)
+        for g in all_graphs(7) + keyed:
+            adj = list(g.adjacency())
+            assert _roots(adj) == argmax(adj)
 
 
 class TestAllGraphs:

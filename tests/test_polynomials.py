@@ -805,3 +805,8 @@ class TestSparsePolynomial:
             assert poly.pack(poly.unpack(key)) == key
         assert poly.pack((1, 2, 0, 3)) + poly.pack((2, 0, 1, 0)) == poly.pack((3, 2, 1, 3))
 
+    @pytest.mark.parametrize("g", [Graph(0, []), Graph(1, []), complete_graph(4), path_graph(9)])
+    def test_unit_keys_pack_unit_vectors(self, g):
+        poly = full_expansion(g)
+        units = [poly.pack([int(x == y) for y in range(g.n)]) for x in range(g.n)]
+        assert poly.unit_keys() == units
