@@ -64,6 +64,7 @@ from .orientations import (
     Orientation,
     OrientationCertificate,
     atn_from_orientations,
+    enumerated_census,
     eulerian_census,
     orientation_census_table,
 )

@@ -32,7 +32,7 @@ from .graphs import (
     to_edge_list_text,
     total_graph,
 )
-from .orientations import CENSUS_GUARD, Orientation, atn_from_orientations, eulerian_census
+from .orientations import CENSUS_GUARD, Orientation, atn_from_orientations, enumerated_census
 from .polynomials import atn_from_polynomial
 from .verify import CAMPAIGNS, campaign_passed, default_config, report_line, run_campaign
 
@@ -93,6 +93,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_atn(args) -> int:
+    if args.max_edges < 0:  # checked here too, since poly never reads it
+        raise ValueError(f"edge guard must be non-negative, got {args.max_edges}")
     g = _read_graph(args.input)
     results = {}
     # orientations first, so that their edge guard refuses before any
@@ -122,7 +124,7 @@ def _cmd_atn(args) -> int:
 def _cmd_census(args) -> int:
     g = _read_graph(args.input)
     orient = Orientation.from_int(g, int(args.bits, 16))
-    census = eulerian_census(orient, max_edges=args.max_edges)
+    census = enumerated_census(orient, max_edges=args.max_edges)
     payload = {
         "even": census.even,
         "odd": census.odd,

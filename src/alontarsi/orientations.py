@@ -8,12 +8,23 @@ when its even and odd censuses differ; every acyclic orientation qualifies,
 since only the empty subset balances.
 
 This module is the trusted oracle the polynomial route is checked against.
-eulerian_census stays naive: plain enumeration over arc subsets, with
-feasibility pruning only.  The orientation search relies on one lemma (Alon
-and Tarsi 1992): two orientations with the same outdegree vector differ on
-an Eulerian subdigraph F, and the symmetric difference with F maps the
-Eulerian subdigraphs of one one-to-one onto those of the other, changing
-parity by |F|.  So |even - odd| depends only on the outdegree vector.
+eulerian_census, the census the orientation search takes, is a frontier
+census: arc subsets that leave the same imbalances are merged.
+enumerated_census stays naive: plain enumeration over arc subsets, with
+feasibility pruning only, and it is the oracle that rechecks
+eulerian_census.  Both decide the arcs in canonical order, and a branch of
+enumerated_census after i arcs is tested later only through its imbalance
+vector bal and the undecided counts, which depend on i alone.  So by
+induction on i, the arc subsets of the first i arcs that eulerian_census
+keeps under a code bal are exactly enumerated_census's live branches with
+that bal, and its (even, odd) pair counts them by parity.  After the last
+arc no arc is undecided, so the live branches are the balanced subsets,
+all under the all-balanced code: the two censuses count the same subsets.
+The orientation search relies on one lemma (Alon and Tarsi 1992): two
+orientations with the same outdegree vector differ on an Eulerian
+subdigraph F, and the symmetric difference with F maps the Eulerian
+subdigraphs of one one-to-one onto those of the other, changing parity by
+|F|.  So |even - odd| depends only on the outdegree vector.
 Swapping two twins is an automorphism, which carries the Eulerian
 subdigraphs of an orientation one-to-one onto those of its image with arc
 counts kept, so the census is also shared by vectors that differ by a
@@ -45,7 +56,7 @@ every orientation with that vector shares the census just taken, which
 either set the incumbent or was balanced; either way no later leaf can
 replace the incumbent, and stopping keeps the value and the certificate.
 orientation_census_table censuses all orientations at once under the same
-prune rule as eulerian_census, in a recursion that shares no code with it.
+prune rule as enumerated_census, in a recursion that shares no code with it.
 """
 
 from __future__ import annotations
@@ -136,8 +147,16 @@ class OrientationCertificate:
         }
 
 
-def eulerian_census(d: Orientation, max_edges: int = CENSUS_GUARD) -> EulerianCensus:
-    """Count even- and odd-arc Eulerian subdigraphs of the orientation.
+def _check_census_guard(m: int, max_edges: int) -> None:
+    if max_edges < 0:
+        raise ValueError(f"edge guard must be non-negative, got {max_edges}")
+    if m > max_edges:
+        raise SizeGuardExceeded(f"census guard: m={m} > {max_edges}")
+
+
+def enumerated_census(d: Orientation, max_edges: int = CENSUS_GUARD) -> EulerianCensus:
+    """Count even- and odd-arc Eulerian subdigraphs of the orientation, one
+    arc subset at a time: the naive oracle for eulerian_census.
 
     Recursive arc-by-arc inclusion/exclusion.  bal tracks out minus in over
     included arcs; a branch dies as soon as some vertex's imbalance exceeds
@@ -145,10 +164,7 @@ def eulerian_census(d: Orientation, max_edges: int = CENSUS_GUARD) -> EulerianCe
     survives is balanced.
     """
     m = d.graph.m
-    if max_edges < 0:
-        raise ValueError(f"edge guard must be non-negative, got {max_edges}")
-    if m > max_edges:
-        raise SizeGuardExceeded(f"census guard: m={m} > {max_edges}")
+    _check_census_guard(m, max_edges)
     arcs = d.arcs()
     rem = list(d.graph.degrees())
     bal = [0] * d.graph.n
@@ -179,6 +195,47 @@ def eulerian_census(d: Orientation, max_edges: int = CENSUS_GUARD) -> EulerianCe
     return EulerianCensus(counts[0], counts[1])
 
 
+def eulerian_census(d: Orientation, max_edges: int = CENSUS_GUARD) -> EulerianCensus:
+    """Count even- and odd-arc Eulerian subdigraphs of the orientation by a
+    frontier census: enumerated_census's counts, with arc subsets that leave
+    the same imbalances merged.
+
+    Arc by arc in canonical order, states maps the imbalance vector of the
+    decided arcs to the (even, odd) counts of the arc subsets reaching it.
+    Each arc skips or joins, and a state dies under enumerated_census's
+    rule: some |bal[v]| exceeds v's undecided arcs.  Such a state can never
+    return to balance, so the rule only keeps states few; the count is read
+    at the all-balanced code either way.  bal[v] + deg(v) is packed
+    into v's field of width (2 max degree + 1).bit_length(); |bal[v]| never
+    exceeds deg(v), so no field borrows from or carries into another.
+    """
+    _check_census_guard(d.graph.m, max_edges)
+    deg = d.graph.degrees()
+    width = (2 * max(deg, default=0) + 1).bit_length()
+    mask = (1 << width) - 1
+    balanced = sum(k << (width * v) for v, k in enumerate(deg))
+    rem = list(deg)  # undecided arcs at each vertex
+    states = {balanced: (1, 0)}
+    for t, h in d.arcs():
+        rem[t] -= 1
+        rem[h] -= 1
+        st, sh = width * t, width * h
+        lo_t, hi_t = deg[t] - rem[t], deg[t] + rem[t]
+        lo_h, hi_h = deg[h] - rem[h], deg[h] + rem[h]
+        step = (1 << st) - (1 << sh)
+        nxt: dict[int, tuple[int, int]] = {}
+        for code, (even, odd) in states.items():
+            ft, fh = (code >> st) & mask, (code >> sh) & mask
+            if lo_t <= ft <= hi_t and lo_h <= fh <= hi_h:  # skip
+                e, o = nxt.get(code, (0, 0))
+                nxt[code] = (e + even, o + odd)
+            if lo_t <= ft + 1 <= hi_t and lo_h <= fh - 1 <= hi_h:  # join: one more arc
+                e, o = nxt.get(code + step, (0, 0))
+                nxt[code + step] = (e + odd, o + even)
+        states = nxt
+    return EulerianCensus(*states.get(balanced, (0, 0)))
+
+
 class _Optimal(Exception):
     """Ends the orientation walk once no later leaf can replace the incumbent."""
 
@@ -199,7 +256,10 @@ def atn_from_orientations(
     same vector.  A leaf whose orbit was censused before is therefore
     balanced if that census was, and if it was unbalanced it was accepted
     and the incumbent already prunes this leaf.  There is always an acyclic
-    orientation, so an optimum exists.
+    orientation, so an optimum exists.  Each census is eulerian_census's
+    frontier census, which counts the subsets enumerated_census counts (the
+    argument is in the module docstring); enumerated_census stays the naive
+    oracle that rechecks it.
 
     The walk ends once the incumbent's maximum outdegree is w - 1 for the
     clique on w vertices that `max_clique` returns, or once the all-(m/n)
@@ -294,8 +354,8 @@ def orientation_census_table(g: Graph) -> tuple[list[int], list[int]]:
     even starts at all ones and the all-skip leaf adds nothing.  Every other
     leaf is a nonempty balanced arc set with support s and directions d on
     s, Eulerian in every orientation d | t with t inside ~s, and counted
-    there in the table of parity |s|.  eulerian_census is the reference it
-    is tested against.
+    there in the table of parity |s|.  enumerated_census is the reference
+    it is tested against.
     """
     m = g.m
     if m > CENSUS_TABLE_GUARD:

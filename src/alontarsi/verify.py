@@ -40,7 +40,7 @@ from .graphs import (
 )
 from .orientations import (
     atn_from_orientations,
-    eulerian_census,
+    enumerated_census,
     orientation_census_table,
 )
 from .polynomials import (
@@ -213,7 +213,7 @@ def _run_duality_engines(claims: dict, values: dict, g: Graph) -> None:
         and coefficient_of(g, cert_p.exponents) == cert_p.coefficient
     )
     orient = cert_o.orientation
-    census = eulerian_census(orient)
+    census = enumerated_census(orient)
     claims["orientation_certificate_sound"] = (
         census.alon_tarsi
         and census == cert_o.census

@@ -610,6 +610,16 @@ class TestVerifyGuards:
                 "k and max_nodes",
                 id="argv3-k and max_nodes",
             ),
+            pytest.param(
+                ["atn", "{g}", "--method", "poly", "--max-edges", "-1"],
+                "edge guard",
+                id="atn-poly-edge guard",
+            ),
+            pytest.param(
+                ["atn", "{g}", "--method", "both", "--max-edges", "-1"],
+                "edge guard",
+                id="atn-both-edge guard",
+            ),
         ],
     )
     def test_negative_guard_is_bad_input(self, argv, message, k3_file, capsys):

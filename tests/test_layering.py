@@ -96,6 +96,17 @@ def test_census_table_shares_no_code_with_the_census():
     assert "orientation_census_table" not in names_in_function(path, "eulerian_census")
 
 
+def test_frontier_census_shares_no_code_with_the_naive_censuses():
+    """The walk counts with eulerian_census's frontier census, and both
+    naive routes recheck it, so none of the three may call another."""
+    path = PACKAGE / "orientations.py"
+    frontier = names_in_function(path, "eulerian_census")
+    naive = {"enumerated_census", "orientation_census_table", "atn_from_orientations"}
+    assert not frontier & naive, frontier & naive
+    for name in ("enumerated_census", "orientation_census_table"):
+        assert "eulerian_census" not in names_in_function(path, name), name
+
+
 def test_colorings_walk_shares_no_code_with_the_expansions():
     """The walk decides a cap without expanding anything, and coefficient_of
     rechecks what it decides, so neither may call the other, and the walk

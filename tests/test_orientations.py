@@ -15,8 +15,10 @@ from alontarsi import (
     complete_graph,
     connected_graphs,
     cycle_graph,
+    enumerated_census,
     eulerian_census,
     graphs_with_edge_budget,
+    line_graph,
     named_graph,
     orientation_census_table,
     path_graph,
@@ -251,6 +253,49 @@ class TestEulerianCensus:
             eulerian_census(Orientation.from_int(complete_graph(2), 0), max_edges=-1)
 
 
+class TestFrontierCensus:
+    """The walk's census, eulerian_census, against both naive routes."""
+
+    def test_matches_census_table_exhaustively(self):
+        seen = 0
+        for g in graphs_with_edge_budget(7):
+            even, odd = orientation_census_table(g)
+            for value in range(1 << g.m):
+                census = eulerian_census(Orientation.from_int(g, value))
+                assert (census.even, census.odd) == (even[value], odd[value]), (g.edges, value)
+                seen += 1
+        assert seen == 28067
+
+    def test_matches_recursive_census_exhaustively(self):
+        seen = 0
+        for g in graphs_with_edge_budget(6):
+            for value in range(1 << g.m):
+                o = Orientation.from_int(g, value)
+                assert eulerian_census(o) == enumerated_census(o), (g.edges, value)
+                seen += 1
+        assert seen == 5411
+
+    def test_naive_census_keeps_the_guard(self):
+        with pytest.raises(SizeGuardExceeded, match="census guard: m=21 > 20"):
+            enumerated_census(Orientation.from_int(complete_graph(7), 0), max_edges=20)
+        with pytest.raises(ValueError, match="edge guard must be non-negative, got -1"):
+            enumerated_census(Orientation.from_int(complete_graph(2), 0), max_edges=-1)
+
+    @pytest.mark.parametrize(
+        "g, max_edges, atn, bits, census",
+        [
+            # values from the walk with enumerated_census as its census
+            (total_graph(complete_graph(4)), 30, 5, "0x4000430", (670, 668)),
+            (line_graph(cube_graph(3)), 24, 3, "0x8dac4c", (288, 312)),
+        ],
+        ids=["T(K4)", "L(Q3)"],
+    )
+    def test_walk_past_the_guard(self, g, max_edges, atn, bits, census):
+        value, cert = atn_from_orientations(g, max_edges=max_edges)
+        got = (value, cert.orientation.bits_hex(), (cert.census.even, cert.census.odd))
+        assert got == (atn, bits, census)
+
+
 class TestAlonTarsi:
     def test_acyclic_is_alon_tarsi(self):
         for g in [complete_graph(4), cycle_graph(5)]:
@@ -348,7 +393,7 @@ class TestAtnFromOrientations:
             for bits in product((0, 1), repeat=g.m):
                 o = Orientation(g, bits)
                 top = max(o.outdegrees(), default=0)
-                if (want is None or top < want[0]) and eulerian_census(o).alon_tarsi:
+                if (want is None or top < want[0]) and enumerated_census(o).alon_tarsi:
                     want = (top, bits)
             value, cert = atn_from_orientations(g)
             assert (value, cert.orientation.bits) == (want[0] + 1, want[1]), g.edges
@@ -484,7 +529,7 @@ class TestCensusTable:
         for g in graphs_with_edge_budget(max_edges):
             even, odd = orientation_census_table(g)
             for value in range(1 << g.m):
-                census = eulerian_census(Orientation.from_int(g, value))
+                census = enumerated_census(Orientation.from_int(g, value))
                 assert (census.even, census.odd) == (even[value], odd[value]), (
                     g.edges,
                     value,
@@ -507,7 +552,7 @@ class TestCensusTable:
         for _ in range(64):
             orient = Orientation.from_int(g, rng.getrandbits(g.m))
             value = orient.to_int()
-            census = eulerian_census(orient)
+            census = enumerated_census(orient)
             assert (census.even, census.odd) == (even[value], odd[value]), value
             coeff = coefficient_of(g, orient.outdegrees())
             assert abs(even[value] - odd[value]) == abs(coeff), value
@@ -589,7 +634,7 @@ class TestEngineAgreement:
             atn_o, cert_o = atn_from_orientations(g)
             assert atn_p == atn_o, (n, g.edges)
             assert coefficient_of(g, cert_p.exponents) == cert_p.coefficient, g.edges
-            assert eulerian_census(cert_o.orientation) == cert_o.census, g.edges
+            assert enumerated_census(cert_o.orientation) == cert_o.census, g.edges
 
     def test_petersen_polynomial_route(self):
         value, cert = atn_from_polynomial(named_graph("petersen"))

@@ -17,6 +17,7 @@ from alontarsi import (
     complete_bipartite,
     connected_graphs,
     edge_coloring,
+    enumerated_census,
     eulerian_census,
     is_isomorphic,
     is_k_choosable,
@@ -28,6 +29,7 @@ PETERSEN = petersen_graph()
 
 CALLS = {
     "eulerian_census": lambda: eulerian_census(Orientation.from_int(PETERSEN, 0x1234)),
+    "enumerated_census": lambda: enumerated_census(Orientation.from_int(PETERSEN, 0x1234)),
     "atn_from_orientations": lambda: atn_from_orientations(PETERSEN),
     "orientation_census_table": lambda: orientation_census_table(PETERSEN),
     "canonical_key": lambda: canonical_key(PETERSEN),
